@@ -123,11 +123,8 @@ fn figure19_matches_the_reference_exactly() {
     check_figure("Figure 19", 16);
 }
 
-/// Figure 20 (64 harts, 16 cores): exact match, but minutes-scale in
-/// debug builds — run explicitly or in release CI:
-/// `cargo test -p lbp-bench --release -- --ignored`.
+/// Figure 20 (64 harts, 16 cores): every version, exact match.
 #[test]
-#[ignore = "minutes in debug builds; covered by release CI"]
 fn figure20_matches_the_reference_exactly() {
     check_figure("Figure 20", 64);
 }

@@ -9,9 +9,11 @@
 
 use std::collections::VecDeque;
 
-use lbp_isa::{HartId, Region, HARTS_PER_CORE, LOCAL_BASE, SHARED_BASE};
+use lbp_isa::{HartId, Instr, Region, HARTS_PER_CORE, LOCAL_BASE, SHARED_BASE};
 
+use crate::bitset::BitSet;
 use crate::config::{LbpConfig, CV_FRAME_BYTES};
+use crate::hart::Decoded;
 use crate::io::IoBus;
 use crate::msg::NetMsg;
 use crate::network::Network;
@@ -64,6 +66,27 @@ struct Ported {
     arrived: u64,
 }
 
+/// A code word together with its decoding, made once when the word is
+/// loaded (or corrupted) rather than on every fetch. `op` is `None`
+/// for a word outside the instruction set; the fetch stage turns that
+/// into [`SimError::Decode`](crate::SimError::Decode) only when a hart
+/// actually fetches it, so data or padding in the text never fails a
+/// load.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CodeWord {
+    pub word: u32,
+    pub op: Option<Decoded>,
+}
+
+impl CodeWord {
+    fn new(word: u32) -> CodeWord {
+        CodeWord {
+            word,
+            op: Instr::decode(word).ok().map(Decoded::new),
+        }
+    }
+}
+
 /// All memory state of the machine plus the per-core local ports.
 #[derive(Debug)]
 pub struct MemSys {
@@ -74,14 +97,24 @@ pub struct MemSys {
     local: Vec<Vec<u8>>,
     /// Per-core shared-bank slices.
     shared: Vec<Vec<u8>>,
-    /// The code image (identical copy in every core's code bank).
-    code: Vec<u32>,
+    /// The code image (identical copy in every core's code bank),
+    /// predecoded.
+    code: Vec<CodeWord>,
     /// Local-bank port queue, one per core (own loads/stores/`p_lwcv`).
     local_q: Vec<VecDeque<Ported>>,
     /// Own-shared-slice local port queue, one per core.
     shared_q: Vec<VecDeque<Ported>>,
     /// Responses completed by local ports, delivered next cycle.
     staged: Vec<Vec<NetMsg>>,
+    /// Cores whose local ports or network port may hold a request: set
+    /// when a request arrives, cleared when the tick finds all three
+    /// queues empty. The tick serves only these cores, in ascending
+    /// order, which is the order it would visit them in anyway. Not
+    /// serialized; rebuilt on restore.
+    busy: BitSet,
+    /// Cores with responses in `staged` since the machine last collected
+    /// them ([`MemSys::take_response_arrivals`]).
+    staged_arrivals: BitSet,
     /// The r1/r2/r3 network serving remote shared accesses.
     pub net: Network,
     /// Memory-mapped devices (served through the local ports).
@@ -112,10 +145,12 @@ impl MemSys {
             shared: (0..cores)
                 .map(|_| vec![0; cfg.shared_bank_bytes as usize])
                 .collect(),
-            code: text.to_vec(),
+            code: text.iter().map(|&w| CodeWord::new(w)).collect(),
             local_q: (0..cores).map(|_| VecDeque::new()).collect(),
             shared_q: (0..cores).map(|_| VecDeque::new()).collect(),
             staged: (0..cores).map(|_| Vec::new()).collect(),
+            busy: BitSet::new(cores),
+            staged_arrivals: BitSet::new(cores),
             net: Network::new(cores, cfg.shared_bank_bytes),
             io: IoBus::new(),
             local_served: 0,
@@ -131,13 +166,19 @@ impl MemSys {
         Ok(mem)
     }
 
+    /// Number of cores (each with its own banks and ports).
+    pub fn cores(&self) -> usize {
+        self.cores
+    }
+
     /// The shared bank (== core number) serving a shared address.
     pub fn shared_bank_of(&self, addr: u32) -> u32 {
         (addr - SHARED_BASE) / self.shared_bank_bytes
     }
 
-    /// Fetches a code word (used by the fetch stage; no contention).
-    pub fn fetch(&self, pc: u32, hart: HartId) -> Result<u32, MemFault> {
+    /// Fetches a code word with its decoding (used by the fetch stage;
+    /// no contention).
+    pub fn fetch(&self, pc: u32, hart: HartId) -> Result<CodeWord, MemFault> {
         if !pc.is_multiple_of(4) {
             return Err(MemFault::Unaligned {
                 addr: pc,
@@ -195,11 +236,13 @@ impl MemSys {
     /// Enqueues a request on the owning core's local-bank port.
     pub fn local_request(&mut self, core: u32, msg: NetMsg, now: u64) {
         self.local_q[core as usize].push_back(Ported { msg, arrived: now });
+        self.busy.insert(core as usize);
     }
 
     /// Enqueues a request on the core's own shared-slice local port.
     pub fn shared_local_request(&mut self, core: u32, msg: NetMsg, now: u64) {
         self.shared_q[core as usize].push_back(Ported { msg, arrived: now });
+        self.busy.insert(core as usize);
     }
 
     /// Applies a cross-core `p_swcv` continuation-value write (the forward
@@ -209,9 +252,18 @@ impl MemSys {
         self.write_local(to.core(), addr, value, 4, to)
     }
 
-    /// Takes the local-port responses staged for a core.
-    pub fn take_staged(&mut self, core: u32) -> Vec<NetMsg> {
-        std::mem::take(&mut self.staged[core as usize])
+    /// Moves the local-port responses staged for a core to the end of
+    /// `out`, keeping both buffers' capacity.
+    pub fn drain_staged(&mut self, core: u32, out: &mut Vec<NetMsg>) {
+        out.append(&mut self.staged[core as usize]);
+    }
+
+    /// Moves the set of cores that got responses since the last call,
+    /// staged by their local ports or delivered by the network, into
+    /// `into`.
+    pub fn take_response_arrivals(&mut self, into: &mut BitSet) {
+        into.take_from(&mut self.staged_arrivals);
+        self.net.take_core_arrivals(into);
     }
 
     /// One cycle of bank service: each local port and each network port
@@ -222,53 +274,80 @@ impl MemSys {
     /// matrix, so the matrix totals at most `conflicts`.
     pub fn tick(&mut self, now: u64, mut prof: Option<&mut ProfData>) -> Result<(), MemFault> {
         self.now = now;
-        for core in 0..self.cores as u32 {
-            // Local-bank port.
-            if let Some(p) = self.local_q[core as usize].front().copied() {
-                if p.arrived < now {
-                    self.local_q[core as usize].pop_front();
-                    let resp = self.perform(core, p.msg, PortSide::Local)?;
-                    self.staged[core as usize].push(resp);
-                    self.local_served += 1;
-                }
-            }
-            self.conflicts += Self::port_backlog(&self.local_q[core as usize], now);
-            // Shared-slice local port.
-            if let Some(p) = self.shared_q[core as usize].front().copied() {
-                if p.arrived < now {
-                    self.shared_q[core as usize].pop_front();
-                    let resp = self.perform(core, p.msg, PortSide::Local)?;
-                    self.staged[core as usize].push(resp);
-                    self.local_served += 1;
-                }
-            }
-            self.conflicts += Self::port_backlog(&self.shared_q[core as usize], now);
-            if let Some(p) = prof.as_deref_mut() {
-                for ported in self.shared_q[core as usize].iter() {
-                    if ported.arrived < now {
-                        p.bank_conflict(ported.msg.hart().core() as usize, core as usize, 1);
-                    }
-                }
-            }
-            // Network port of the shared bank.
-            if let Some(msg) = self.net.bank_queue(core).pop_front() {
-                let resp = self.perform(core, msg, PortSide::Network)?;
-                self.net.send_from_bank(core, resp);
-                self.remote_served += 1;
-            }
-            self.conflicts += self.net.bank_queue(core).len() as u64;
-            if let Some(p) = prof.as_deref_mut() {
-                for msg in self.net.bank_queue(core).iter() {
-                    p.bank_conflict(msg.hart().core() as usize, core as usize, 1);
+        self.net.take_bank_arrivals(&mut self.busy);
+        for w in 0..self.busy.words() {
+            for c in self.busy.word_members(w) {
+                self.serve(c as u32, now, prof.as_deref_mut())?;
+                if self.local_q[c].is_empty()
+                    && self.shared_q[c].is_empty()
+                    && self.net.bank_queue(c as u32).is_empty()
+                {
+                    self.busy.remove(c);
                 }
             }
         }
         Ok(())
     }
 
+    /// One cycle of one core's three bank ports (see [`MemSys::tick`]).
+    fn serve(
+        &mut self,
+        core: u32,
+        now: u64,
+        mut prof: Option<&mut ProfData>,
+    ) -> Result<(), MemFault> {
+        let c = core as usize;
+        // Local-bank port.
+        if let Some(p) = self.local_q[c].front().copied() {
+            if p.arrived < now {
+                self.local_q[c].pop_front();
+                let resp = self.perform(core, p.msg, PortSide::Local)?;
+                self.staged[c].push(resp);
+                self.staged_arrivals.insert(c);
+                self.local_served += 1;
+            }
+        }
+        self.conflicts += Self::port_backlog(&self.local_q[c], now);
+        // Shared-slice local port.
+        if let Some(p) = self.shared_q[c].front().copied() {
+            if p.arrived < now {
+                self.shared_q[c].pop_front();
+                let resp = self.perform(core, p.msg, PortSide::Local)?;
+                self.staged[c].push(resp);
+                self.staged_arrivals.insert(c);
+                self.local_served += 1;
+            }
+        }
+        self.conflicts += Self::port_backlog(&self.shared_q[c], now);
+        if let Some(p) = prof.as_deref_mut() {
+            for ported in self.shared_q[c].iter() {
+                if ported.arrived < now {
+                    p.bank_conflict(ported.msg.hart().core() as usize, c, 1);
+                }
+            }
+        }
+        // Network port of the shared bank.
+        if let Some(msg) = self.net.bank_queue(core).pop_front() {
+            let resp = self.perform(core, msg, PortSide::Network)?;
+            self.net.send_from_bank(core, resp);
+            self.remote_served += 1;
+        }
+        self.conflicts += self.net.bank_queue(core).len() as u64;
+        if let Some(p) = prof {
+            for msg in self.net.bank_queue(core).iter() {
+                p.bank_conflict(msg.hart().core() as usize, c, 1);
+            }
+        }
+        Ok(())
+    }
+
     /// Requests at a port that were ready this cycle but not served.
+    /// Arrival stamps never decrease along a queue and none lies in the
+    /// future, so the requests not yet ready are exactly the tail that
+    /// arrived this cycle; only that tail is walked.
     fn port_backlog(q: &VecDeque<Ported>, now: u64) -> u64 {
-        q.iter().filter(|p| p.arrived < now).count() as u64
+        let fresh = q.iter().rev().take_while(|p| p.arrived >= now).count();
+        (q.len() - fresh) as u64
     }
 
     /// Performs a read/write at `bank_core` and builds the response.
@@ -453,8 +532,8 @@ impl MemSys {
             w.bytes(bank);
         }
         w.seq(self.code.len());
-        for &word in &self.code {
-            w.u32(word);
+        for c in &self.code {
+            w.u32(c.word);
         }
         let put_ports = |w: &mut SnapWriter, qs: &[VecDeque<Ported>]| {
             for q in qs {
@@ -508,7 +587,7 @@ impl MemSys {
         let shared = get_banks(r, shared_bank_bytes)?;
         let mut code = Vec::new();
         for _ in 0..r.seq()? {
-            code.push(r.u32()?);
+            code.push(CodeWord::new(r.u32()?));
         }
         let get_ports = |r: &mut SnapReader<'_>| -> Result<Vec<VecDeque<Ported>>, SnapError> {
             (0..cores)
@@ -527,15 +606,30 @@ impl MemSys {
         let local_q = get_ports(r)?;
         let shared_q = get_ports(r)?;
         let mut staged = Vec::with_capacity(cores);
-        for _ in 0..cores {
+        let mut staged_arrivals = BitSet::new(cores);
+        for c in 0..cores {
             let mut v = Vec::new();
             for _ in 0..r.seq()? {
                 v.push(NetMsg::unsnap(r)?);
+                staged_arrivals.insert(c);
             }
             staged.push(v);
         }
-        let net = Network::unsnap(r)?;
+        let mut net = Network::unsnap(r)?;
+        if net.cores() as usize != cores {
+            return Err(SnapError::Corrupt(format!(
+                "network spans {} cores, memory system {cores}",
+                net.cores()
+            )));
+        }
         let io = IoBus::unsnap(r)?;
+        let mut busy = BitSet::new(cores);
+        net.take_bank_arrivals(&mut busy);
+        for (c, (l, s)) in local_q.iter().zip(&shared_q).enumerate() {
+            if !l.is_empty() || !s.is_empty() {
+                busy.insert(c);
+            }
+        }
         Ok(MemSys {
             cores,
             local_bank_bytes,
@@ -546,6 +640,8 @@ impl MemSys {
             local_q,
             shared_q,
             staged,
+            busy,
+            staged_arrivals,
             net,
             io,
             local_served: r.u64()?,
@@ -555,11 +651,12 @@ impl MemSys {
         })
     }
 
-    /// XORs the code word at `pc` with `xor` (fault injection). Every
-    /// core's code bank is the same copy, so all cores see the corruption.
+    /// XORs the code word at `pc` with `xor` and decodes it again (fault
+    /// injection). Every core's code bank is the same copy, so all cores
+    /// see the corruption.
     pub fn corrupt_code(&mut self, pc: u32, xor: u32) {
-        if let Some(word) = self.code.get_mut((pc / 4) as usize) {
-            *word ^= xor;
+        if let Some(c) = self.code.get_mut((pc / 4) as usize) {
+            *c = CodeWord::new(c.word ^ xor);
         }
     }
 }
@@ -613,10 +710,12 @@ mod tests {
             5,
         );
         // Same-cycle service is not allowed.
+        let mut resp = Vec::new();
         m.tick(5, None).unwrap();
-        assert!(m.take_staged(0).is_empty());
+        m.drain_staged(0, &mut resp);
+        assert!(resp.is_empty());
         m.tick(6, None).unwrap();
-        let resp = m.take_staged(0);
+        m.drain_staged(0, &mut resp);
         assert_eq!(
             resp,
             vec![NetMsg::WriteAck {
@@ -673,7 +772,8 @@ mod tests {
         for now in 1..20 {
             m.net.tick();
             m.tick(now, None).unwrap();
-            let inbox = m.net.take_core_inbox(3);
+            let mut inbox = Vec::new();
+            m.net.drain_core_inbox(3, &mut inbox);
             if !inbox.is_empty() {
                 got = Some((now, inbox));
                 break;
@@ -695,8 +795,80 @@ mod tests {
     #[test]
     fn code_fetch_bounds() {
         let m = memsys(1);
-        assert_eq!(m.fetch(0, HartId::FIRST).unwrap(), 0x13);
+        assert_eq!(m.fetch(0, HartId::FIRST).unwrap().word, 0x13);
         assert!(m.fetch(4, HartId::FIRST).is_err());
         assert!(m.fetch(2, HartId::FIRST).is_err());
+    }
+
+    /// After every tick the busy set names exactly the cores with a
+    /// queued request, and the response-arrival set exactly the cores
+    /// with a response waiting, through seeded random traffic and a
+    /// snapshot round trip.
+    #[test]
+    fn busy_and_arrival_sets_track_the_ports() {
+        let cores = 8u32;
+        let mut m = memsys(cores as usize);
+        let bank = 0x10000;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |n: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as u32
+        };
+        let members = |s: &BitSet| {
+            (0..s.words())
+                .flat_map(|w| s.word_members(w))
+                .collect::<Vec<_>>()
+        };
+        for now in 1..400u64 {
+            for _ in 0..below(4) {
+                let core = below(cores);
+                let hart = HartId::from_parts(core, 0);
+                let read = |addr| NetMsg::ReadReq {
+                    addr,
+                    hart,
+                    size: 4,
+                    signed: false,
+                };
+                match below(3) {
+                    0 => m.local_request(core, read(LOCAL_BASE + 4 * below(64)), now),
+                    1 => m.shared_local_request(core, read(SHARED_BASE + core * bank), now),
+                    _ => m
+                        .net
+                        .send_from_core(core, read(SHARED_BASE + below(cores) * bank)),
+                }
+            }
+            m.net.tick();
+            m.tick(now, None).unwrap();
+            let queued: Vec<usize> = (0..cores as usize)
+                .filter(|&c| {
+                    !m.local_q[c].is_empty()
+                        || !m.shared_q[c].is_empty()
+                        || !m.net.bank_queue(c as u32).is_empty()
+                })
+                .collect();
+            assert_eq!(members(&m.busy), queued, "cycle {now}");
+            if now == 200 {
+                let mut w = SnapWriter::new();
+                m.snap(&mut w);
+                let bytes = w.into_bytes();
+                let back = MemSys::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+                assert_eq!(back.busy, m.busy);
+                assert_eq!(back.staged_arrivals, m.staged_arrivals);
+            }
+            let mut arrived = BitSet::new(cores as usize);
+            m.take_response_arrivals(&mut arrived);
+            let mut waiting = Vec::new();
+            for c in 0..cores {
+                let mut out = Vec::new();
+                m.net.drain_core_inbox(c, &mut out);
+                m.drain_staged(c, &mut out);
+                if !out.is_empty() {
+                    waiting.push(c as usize);
+                }
+            }
+            assert_eq!(members(&arrived), waiting, "cycle {now}");
+        }
     }
 }

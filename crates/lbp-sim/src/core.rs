@@ -15,7 +15,7 @@ use crate::bank::MemSys;
 use crate::config::Latencies;
 use crate::error::SimError;
 use crate::fabric::Fabric;
-use crate::hart::{Fetched, HartCtx, HartState, ItEntry, Rb, RbWait};
+use crate::hart::{Fetched, HartCtx, HartState, ItEntry, Rb, RbWait, RobHead};
 use crate::msg::{CoreMsg, NetMsg};
 use crate::prof::{ProfData, ProfEventKind};
 use crate::race::RaceData;
@@ -73,7 +73,7 @@ impl Env<'_> {
 #[derive(Debug)]
 pub(crate) struct Core {
     pub index: u32,
-    pub harts: Vec<HartCtx>,
+    pub harts: [HartCtx; HARTS_PER_CORE],
     rr: [usize; 5],
     /// Pending fork requests (own `p_fc`s and `ForkReq`s from the
     /// predecessor core), satisfied one per cycle in arrival order.
@@ -93,9 +93,7 @@ impl Core {
     pub fn new(index: u32, mk_hart: impl Fn(HartId) -> HartCtx) -> Core {
         Core {
             index,
-            harts: (0..HARTS_PER_CORE as u32)
-                .map(|l| mk_hart(HartId::from_parts(index, l)))
-                .collect(),
+            harts: std::array::from_fn(|l| mk_hart(HartId::from_parts(index, l as u32))),
             rr: [0; 5],
             alloc_q: VecDeque::new(),
             free_q: (0..HARTS_PER_CORE as u32).collect(),
@@ -129,6 +127,12 @@ impl Core {
         for _ in 0..r.seq()? {
             harts.push(HartCtx::unsnap(r)?);
         }
+        let harts = <[HartCtx; HARTS_PER_CORE]>::try_from(harts).map_err(|h| {
+            crate::snapshot::SnapError::Corrupt(format!(
+                "core {index} holds {} harts, not {HARTS_PER_CORE}",
+                h.len()
+            ))
+        })?;
         let mut rr = [0usize; 5];
         for p in &mut rr {
             *p = r.u64()? as usize;
@@ -156,15 +160,21 @@ impl Core {
         })
     }
 
-    /// Round-robin selection of one hart satisfying `pred`, advancing the
-    /// stage pointer past the chosen hart.
-    fn select(&mut self, stage: usize, pred: impl Fn(&HartCtx) -> bool) -> Option<usize> {
+    /// Round-robin selection of one hart for which `pred` yields a value,
+    /// advancing the stage pointer past the chosen hart. Returns the hart
+    /// index with the value, so a stage need not recompute what its
+    /// predicate found.
+    fn select<T>(
+        &mut self,
+        stage: usize,
+        pred: impl Fn(&HartCtx) -> Option<T>,
+    ) -> Option<(usize, T)> {
         let start = self.rr[stage];
         for k in 0..HARTS_PER_CORE {
             let i = (start + k) % HARTS_PER_CORE;
-            if pred(&self.harts[i]) {
+            if let Some(v) = pred(&self.harts[i]) {
                 self.rr[stage] = (i + 1) % HARTS_PER_CORE;
-                return Some(i);
+                return Some((i, v));
             }
         }
         None
@@ -172,8 +182,8 @@ impl Core {
 
     /// One full core cycle (stages run in reverse pipeline order so each
     /// stage sees the state its predecessors left at the end of the
-    /// previous cycle).
-    pub fn tick(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
+    /// previous cycle). Returns whether an instruction retired.
+    pub fn tick(&mut self, env: &mut Env<'_>) -> Result<bool, SimError> {
         self.process_alloc(env)?;
         self.release_syncm(env.now);
         let committed = self.stage_commit(env)?;
@@ -192,14 +202,14 @@ impl Core {
                 }
             }
             None => {
-                let (kind, blamed) = self.classify_stall(env.now);
+                let (kind, blamed) = self.classify_stall();
                 env.stats.stalls_per_core[self.index as usize].bump(kind);
                 if let Some(p) = env.prof.as_deref_mut() {
                     p.stalled(self.index as usize, blamed, kind);
                 }
             }
         }
-        Ok(())
+        Ok(committed.is_some())
     }
 
     /// The program location a stalling hart is blamed at: the oldest
@@ -220,7 +230,7 @@ impl Core {
     /// classifier names the program location it blames — the oldest
     /// in-flight instruction of the hart that triggered the
     /// classification — or `None` when no instruction is blamable.
-    fn classify_stall(&self, now: u64) -> (StallKind, Option<u32>) {
+    fn classify_stall(&self) -> (StallKind, Option<u32>) {
         if self.harts.iter().all(|h| h.state == HartState::Free) {
             return (StallKind::Idle, None);
         }
@@ -228,10 +238,8 @@ impl Core {
         // Synchronization: a committing p_ret held by the barrier, or a
         // draining p_syncm.
         for h in self.harts.iter().filter(running) {
-            let pret_blocked = h
-                .rob
-                .front()
-                .is_some_and(|e| e.done && e.is_pret && !(h.end_signal && h.in_flight_mem == 0));
+            let pret_blocked =
+                h.rob_head() == RobHead::DonePRet && !(h.end_signal && h.in_flight_mem == 0);
             if pret_blocked || h.syncm_wait {
                 return (StallKind::SyncWait, Self::blame_loc(h));
             }
@@ -284,7 +292,6 @@ impl Core {
         // produced a committable instruction (post-fetch suspension
         // waiting for the next pc, or the pipeline is filling). Blame the
         // first running hart's location.
-        let _ = now;
         let loc = self.harts.iter().find(running).and_then(Self::blame_loc);
         (StallKind::FetchStarved, loc)
     }
@@ -359,20 +366,19 @@ impl Core {
 
     fn stage_fetch(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
         let now = env.now;
-        let Some(i) = self.select(ST_FETCH, |h| {
-            h.state == HartState::Running && h.pc.is_some() && h.can_fetch(now) && h.ib.is_none()
+        let Some((i, pc)) = self.select(ST_FETCH, |h| {
+            h.pc.filter(|_| h.state == HartState::Running && h.can_fetch(now) && h.ib.is_none())
         }) else {
             return Ok(());
         };
         let h = &mut self.harts[i];
-        let pc = h.pc.expect("checked by predicate");
-        let word = env.mem.fetch(pc, h.id)?;
-        let instr = Instr::decode(word).map_err(|_| SimError::Decode {
+        let code = env.mem.fetch(pc, h.id)?;
+        let op = code.op.ok_or(SimError::Decode {
             pc,
-            word,
+            word: code.word,
             hart: h.id,
         })?;
-        h.ib = Some(Fetched { pc, instr });
+        h.ib = Some(Fetched { pc, op });
         h.fetch_suspended = true;
         let id = h.id;
         env.emit(id, EventKind::Fetch { pc });
@@ -380,17 +386,16 @@ impl Core {
     }
 
     fn stage_rename(&mut self, env: &mut Env<'_>) {
-        let Some(i) = self.select(ST_RENAME, |h| {
-            h.ib.as_ref()
-                .is_some_and(|f| h.rename_capacity(f.instr.dest().is_some()))
+        let Some((i, f)) = self.select(ST_RENAME, |h| {
+            h.ib.filter(|f| h.rename_capacity(f.op.dest.is_some()))
         }) else {
             return;
         };
         let h = &mut self.harts[i];
-        let f = h.ib.take().expect("checked by predicate");
+        h.ib = None;
         h.rename(f);
         // Next-pc resolution (releases the post-fetch suspension).
-        match f.instr {
+        match f.op.instr {
             Instr::Jal { offset, .. } | Instr::PJal { offset, .. } => {
                 h.pc = Some(f.pc.wrapping_add(offset as u32));
                 h.unsuspend_next(env.now);
@@ -419,11 +424,15 @@ impl Core {
     }
 
     fn stage_issue(&mut self, env: &mut Env<'_>) -> Result<(), SimError> {
-        let Some(i) = self.select(ST_ISSUE, |h| h.rb.is_none() && h.oldest_ready().is_some())
-        else {
+        let Some((i, idx)) = self.select(ST_ISSUE, |h| {
+            if h.rb.is_none() {
+                h.oldest_ready()
+            } else {
+                None
+            }
+        }) else {
             return Ok(());
         };
-        let idx = self.harts[i].oldest_ready().expect("checked by predicate");
         let entry = self.harts[i].it.remove(idx);
         if entry.instr.is_mem() {
             self.harts[i].mem_in_it -= 1;
@@ -635,7 +644,7 @@ impl Core {
                 if rd.is_zero() {
                     // p_ret: resolved here, acted on at commit (in team
                     // order).
-                    self.harts[hart_idx].rob_set_pret(e.seq, v1, v2);
+                    self.harts[hart_idx].set_pret(v1, v2);
                     silent
                 } else {
                     // Parallelized call: jump locally to rs2, start the
@@ -764,25 +773,21 @@ impl Core {
 
     fn stage_writeback(&mut self, env: &mut Env<'_>) {
         let now = env.now;
-        let Some(i) = self.select(ST_WB, |h| {
-            h.rb.as_ref().is_some_and(|rb| match rb.wait {
-                RbWait::Done { .. } => true,
-                RbWait::Until { at, .. } => at <= now,
-                RbWait::Mem | RbWait::Fork => false,
-            })
+        let Some((i, (rb, value))) = self.select(ST_WB, |h| {
+            let rb = h.rb?;
+            match rb.wait {
+                RbWait::Done { value } => Some((rb, value)),
+                RbWait::Until { at, value } if at <= now => Some((rb, value)),
+                RbWait::Until { .. } | RbWait::Mem | RbWait::Fork => None,
+            }
         }) else {
             return;
         };
         let h = &mut self.harts[i];
-        let rb = h.rb.take().expect("checked by predicate");
-        let value = match rb.wait {
-            RbWait::Done { value } | RbWait::Until { value, .. } => value,
-            _ => unreachable!("predicate admits only completed buffers"),
-        };
+        h.rb = None;
         if let Some(dest) = rb.dest {
-            let slot = &mut h.prf[dest as usize];
-            slot.value = value.expect("instruction with a destination produced a value");
-            slot.ready = true;
+            h.prf[dest as usize] = value.expect("instruction with a destination produced a value");
+            h.prf_ready[dest as usize] = true;
         }
         h.rob_mark_done(rb.seq);
     }
@@ -790,20 +795,22 @@ impl Core {
     /// Commits at most one instruction; returns the committed pc, if one
     /// retired.
     fn stage_commit(&mut self, env: &mut Env<'_>) -> Result<Option<u32>, SimError> {
-        let Some(i) = self.select(ST_COMMIT, |h| {
-            h.rob.front().is_some_and(|e| {
-                // A p_ret additionally needs the team predecessor's ending
-                // signal AND a quiescent memory interface: the hardware
-                // barrier guarantees that a consuming region's loads see
-                // the producing region's stores (paper §3, Fig. 4), which
-                // only holds if a hart's stores are done before it ends.
-                e.done && (!e.is_pret || (h.end_signal && h.in_flight_mem == 0))
-            })
+        let Some((i, ())) = self.select(ST_COMMIT, |h| {
+            // A p_ret additionally needs the team predecessor's ending
+            // signal AND a quiescent memory interface: the hardware
+            // barrier guarantees that a consuming region's loads see the
+            // producing region's stores (paper §3, Fig. 4), which only
+            // holds if a hart's stores are done before it ends.
+            match h.rob_head() {
+                RobHead::Done => Some(()),
+                RobHead::DonePRet if h.end_signal && h.in_flight_mem == 0 => Some(()),
+                RobHead::DonePRet | RobHead::Busy => None,
+            }
         }) else {
             return Ok(None);
         };
         let h = &mut self.harts[i];
-        let entry = h.rob.pop_front().expect("checked by predicate");
+        let entry = h.rob_pop();
         if let Some((_new, Some(old))) = entry.dest {
             h.free_phys.push_back(old);
         }
@@ -811,7 +818,8 @@ impl Core {
         env.stats.retired_per_hart[id.global() as usize] += 1;
         env.emit(id, EventKind::Commit { pc: entry.pc });
         if entry.is_pret {
-            self.commit_p_ret(i, entry.pret.expect("p_ret resolved at issue"), env)?;
+            let pret = h.pret.take().expect("p_ret resolved at issue");
+            self.commit_p_ret(i, pret, env)?;
         }
         Ok(Some(entry.pc))
     }

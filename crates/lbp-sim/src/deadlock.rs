@@ -116,7 +116,7 @@ pub(crate) fn classify(h: &HartCtx) -> HartProgress {
     }
     // Rename: a fetched instruction waits for capacity.
     if let Some(f) = &h.ib {
-        if h.rename_capacity(f.instr.dest().is_some()) {
+        if h.rename_capacity(f.op.dest.is_some()) {
             return HartProgress::Ready;
         }
         return HartProgress::Blocked(

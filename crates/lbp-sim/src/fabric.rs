@@ -10,6 +10,7 @@
 
 use std::collections::VecDeque;
 
+use crate::bitset::BitSet;
 use crate::msg::CoreMsg;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
@@ -23,6 +24,17 @@ pub struct Fabric {
     bwd: Vec<VecDeque<CoreMsg>>,
     /// Messages delivered to each core this cycle.
     inbox: Vec<Vec<CoreMsg>>,
+    /// Cores whose inbox received a message since the machine last
+    /// collected them ([`Fabric::take_arrivals`]). Not serialized;
+    /// rebuilt on restore.
+    arrivals: BitSet,
+    /// Scratch for [`Fabric::tick`]'s backward-line relays, kept between
+    /// cycles so its capacity is reused.
+    relay: Vec<(usize, CoreMsg)>,
+    /// Messages on the forward links and backward segments together, so
+    /// a tick with nothing in flight skips the walk over every segment.
+    /// Not serialized; recounted on restore.
+    on_links: usize,
     /// Total messages that crossed any segment (statistics).
     pub hops: u64,
     /// Message-cycles lost to segment contention: each cycle, every
@@ -50,6 +62,9 @@ impl Fabric {
             fwd: (0..links).map(|_| VecDeque::new()).collect(),
             bwd: (0..links).map(|_| VecDeque::new()).collect(),
             inbox: (0..cores).map(|_| Vec::new()).collect(),
+            arrivals: BitSet::new(cores as usize),
+            relay: Vec::new(),
+            on_links: 0,
             hops: 0,
             contended: 0,
             sent: 0,
@@ -58,6 +73,11 @@ impl Fabric {
             delayed: Vec::new(),
             faults_applied: 0,
         }
+    }
+
+    /// Number of cores the fabric connects.
+    pub fn cores(&self) -> usize {
+        self.cores as usize
     }
 
     /// Installs the link-fault schedule (from the machine's fault plan):
@@ -102,51 +122,43 @@ impl Fabric {
         );
         if dest == from_core {
             // One-cycle local loop: stage on the (empty) path below.
-            self.inbox[dest as usize].push(msg);
+            self.deliver(dest as usize, msg);
         } else if dest > from_core {
             assert!(
                 dest == from_core + 1,
                 "forward link only reaches the next core (from {from_core} to {dest})"
             );
             self.fwd[from_core as usize].push_back(msg);
+            self.on_links += 1;
         } else {
             // Backward: enter the segment just below `from_core`.
             self.bwd[(from_core - 1) as usize].push_back(msg);
+            self.on_links += 1;
         }
     }
 
-    /// Takes the messages delivered to a core this cycle.
-    pub fn take_inbox(&mut self, core: u32) -> Vec<CoreMsg> {
-        std::mem::take(&mut self.inbox[core as usize])
+    /// Moves the messages delivered to a core this cycle to the end of
+    /// `out`, keeping both buffers' capacity.
+    pub fn drain_inbox(&mut self, core: u32, out: &mut Vec<CoreMsg>) {
+        out.append(&mut self.inbox[core as usize]);
+    }
+
+    /// Moves the set of cores whose inbox received messages since the
+    /// last call into `into`.
+    pub fn take_arrivals(&mut self, into: &mut BitSet) {
+        into.take_from(&mut self.arrivals);
+    }
+
+    /// Puts a message in a core's inbox.
+    fn deliver(&mut self, core: usize, msg: CoreMsg) {
+        self.inbox[core].push(msg);
+        self.arrivals.insert(core);
     }
 
     /// Advances every link segment by one cycle.
     pub fn tick(&mut self) {
-        // Forward links: one message per segment per cycle, delivered to
-        // the successor core.
-        for i in 0..self.fwd.len() {
-            if let Some(msg) = self.fwd[i].pop_front() {
-                self.hops += 1;
-                self.contended += self.fwd[i].len() as u64;
-                self.inbox[i + 1].push(msg);
-            }
-        }
-        // Backward line: one message per segment per cycle; a message not
-        // yet at its destination re-enters the next segment down.
-        let mut relay = Vec::new();
-        for i in 0..self.bwd.len() {
-            if let Some(msg) = self.bwd[i].pop_front() {
-                self.hops += 1;
-                self.contended += self.bwd[i].len() as u64;
-                if msg.dest_core() == i as u32 {
-                    self.inbox[i].push(msg);
-                } else {
-                    relay.push((i - 1, msg));
-                }
-            }
-        }
-        for (seg, msg) in relay {
-            self.bwd[seg].push_back(msg);
+        if self.on_links > 0 {
+            self.move_links();
         }
         // Release delayed messages whose hold expired onto their links.
         let mut i = 0;
@@ -158,6 +170,37 @@ impl Fabric {
                 self.delayed[i].0 -= 1;
                 i += 1;
             }
+        }
+    }
+
+    /// Moves every busy segment's head message one hop.
+    fn move_links(&mut self) {
+        // Forward links: one message per segment per cycle, delivered to
+        // the successor core.
+        for i in 0..self.fwd.len() {
+            if let Some(msg) = self.fwd[i].pop_front() {
+                self.hops += 1;
+                self.contended += self.fwd[i].len() as u64;
+                self.deliver(i + 1, msg);
+                self.on_links -= 1;
+            }
+        }
+        // Backward line: one message per segment per cycle; a message not
+        // yet at its destination re-enters the next segment down.
+        for i in 0..self.bwd.len() {
+            if let Some(msg) = self.bwd[i].pop_front() {
+                self.hops += 1;
+                self.contended += self.bwd[i].len() as u64;
+                if msg.dest_core() == i as u32 {
+                    self.deliver(i, msg);
+                    self.on_links -= 1;
+                } else {
+                    self.relay.push((i - 1, msg));
+                }
+            }
+        }
+        for (seg, msg) in self.relay.drain(..) {
+            self.bwd[seg].push_back(msg);
         }
     }
 
@@ -266,10 +309,12 @@ impl Fabric {
             )));
         }
         let mut inbox = Vec::with_capacity(inboxes);
-        for _ in 0..inboxes {
+        let mut arrivals = BitSet::new(inboxes);
+        for c in 0..inboxes {
             let mut msgs = Vec::new();
             for _ in 0..r.seq()? {
                 msgs.push(CoreMsg::unsnap(r)?);
+                arrivals.insert(c);
             }
             inbox.push(msgs);
         }
@@ -280,11 +325,15 @@ impl Fabric {
         for _ in 0..r.seq()? {
             delayed.push((r.u32()?, r.u32()?, CoreMsg::unsnap(r)?));
         }
+        let on_links = fwd.iter().chain(&bwd).map(VecDeque::len).sum();
         Ok(Fabric {
             cores,
             fwd,
             bwd,
             inbox,
+            arrivals,
+            relay: Vec::new(),
+            on_links,
             hops,
             contended,
             sent,
@@ -341,6 +390,13 @@ mod tests {
     use super::*;
     use lbp_isa::HartId;
 
+    /// Drains the messages delivered to `core`.
+    fn inbox(f: &mut Fabric, core: u32) -> Vec<CoreMsg> {
+        let mut out = Vec::new();
+        f.drain_inbox(core, &mut out);
+        out
+    }
+
     fn join_to(core: u32) -> CoreMsg {
         CoreMsg::Join {
             to: HartId::from_parts(core, 0),
@@ -358,9 +414,9 @@ mod tests {
                 pc: 0x10,
             },
         );
-        assert!(f.take_inbox(1).is_empty());
+        assert!(inbox(&mut f, 1).is_empty());
         f.tick();
-        assert_eq!(f.take_inbox(1).len(), 1);
+        assert_eq!(inbox(&mut f, 1).len(), 1);
     }
 
     #[test]
@@ -369,10 +425,10 @@ mod tests {
         f.send(5, join_to(1));
         for _ in 0..3 {
             f.tick();
-            assert!(f.take_inbox(1).is_empty());
+            assert!(inbox(&mut f, 1).is_empty());
         }
         f.tick();
-        assert_eq!(f.take_inbox(1).len(), 1);
+        assert_eq!(inbox(&mut f, 1).len(), 1);
     }
 
     #[test]
@@ -382,9 +438,9 @@ mod tests {
         f.send(2, join_to(0));
         f.tick(); // msg1 on segment 1->0, msg2 waits
         f.tick(); // msg1 delivered, msg2 crosses 2->1... (FIFO per segment)
-        assert_eq!(f.take_inbox(0).len(), 1);
+        assert_eq!(inbox(&mut f, 0).len(), 1);
         f.tick();
-        assert_eq!(f.take_inbox(0).len(), 1);
+        assert_eq!(inbox(&mut f, 0).len(), 1);
     }
 
     #[test]
@@ -404,7 +460,7 @@ mod tests {
     fn same_core_messages_loop_locally() {
         let mut f = Fabric::new(2);
         f.send(1, join_to(1));
-        assert_eq!(f.take_inbox(1).len(), 1);
+        assert_eq!(inbox(&mut f, 1).len(), 1);
     }
 
     fn result_to(core: u32, value: u32) -> CoreMsg {
@@ -428,12 +484,12 @@ mod tests {
         // Two segments (3->2->1) of pipeline fill before the first
         // delivery off segment 1->0.
         f.tick();
-        assert!(f.take_inbox(0).is_empty());
+        assert!(inbox(&mut f, 0).is_empty());
         f.tick();
-        assert!(f.take_inbox(0).is_empty());
+        assert!(inbox(&mut f, 0).is_empty());
         for v in 0..5u32 {
             f.tick();
-            let inbox = f.take_inbox(0);
+            let inbox = inbox(&mut f, 0);
             assert_eq!(inbox.len(), 1, "exactly one delivery per cycle");
             match inbox[0] {
                 CoreMsg::Result { value, .. } => assert_eq!(value, v, "FIFO order preserved"),
@@ -454,11 +510,11 @@ mod tests {
         f.send(2, result_to(0, 22));
         f.send(1, result_to(0, 11));
         f.tick(); // local 11 crosses 1->0; 22 crosses 2->1, relays behind
-        let first = f.take_inbox(0);
+        let first = inbox(&mut f, 0);
         assert_eq!(first.len(), 1);
         assert!(matches!(first[0], CoreMsg::Result { value: 11, .. }));
         f.tick();
-        let second = f.take_inbox(0);
+        let second = inbox(&mut f, 0);
         assert_eq!(second.len(), 1);
         assert!(matches!(second[0], CoreMsg::Result { value: 22, .. }));
     }
@@ -478,7 +534,7 @@ mod tests {
         }
         for _ in 0..3 {
             f.tick();
-            assert_eq!(f.take_inbox(1).len(), 1);
+            assert_eq!(inbox(&mut f, 1).len(), 1);
         }
         assert!(f.is_quiet());
     }
@@ -516,7 +572,54 @@ mod tests {
         );
         f.send(1, join_to(0));
         f.tick();
-        assert_eq!(f.take_inbox(0).len(), 1);
-        assert_eq!(f.take_inbox(1).len(), 1);
+        assert_eq!(inbox(&mut f, 0).len(), 1);
+        assert_eq!(inbox(&mut f, 1).len(), 1);
+    }
+
+    /// The link counter and the arrival set follow the queues through
+    /// seeded random traffic, including across a snapshot round trip.
+    #[test]
+    fn link_count_and_arrivals_track_the_queues() {
+        use crate::snapshot::{SnapReader, SnapWriter};
+        let cores = 6u32;
+        let mut f = Fabric::new(cores as usize);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as u32
+        };
+        let on_links = |f: &Fabric| f.fwd.iter().chain(&f.bwd).map(VecDeque::len).sum();
+        for cycle in 0..300 {
+            for _ in 0..below(3) {
+                let from = below(cores);
+                if from + 1 < cores && below(3) == 0 {
+                    let to = HartId::from_parts(from + 1, 0);
+                    f.send(from, CoreMsg::Start { to, pc: 0 });
+                } else {
+                    f.send(from, result_to(below(from + 1), cycle));
+                }
+            }
+            f.tick();
+            assert_eq!(f.on_links, on_links(&f));
+            if cycle == 150 {
+                let mut w = SnapWriter::new();
+                f.snap_dyn(&mut w);
+                let bytes = w.into_bytes();
+                let back =
+                    Fabric::unsnap_dyn(&mut SnapReader::new(&bytes), Vec::new(), Vec::new(), 0)
+                        .unwrap();
+                assert_eq!(back.on_links, f.on_links);
+                assert_eq!(back.arrivals, f.arrivals);
+            }
+            let mut arrived = BitSet::new(cores as usize);
+            f.take_arrivals(&mut arrived);
+            for c in 0..cores {
+                let got = inbox(&mut f, c);
+                let member = arrived.contains(c as usize);
+                assert_eq!(member, !got.is_empty(), "core {c} at cycle {cycle}");
+            }
+        }
     }
 }

@@ -27,18 +27,38 @@ pub(crate) enum HartState {
     WaitingJoin,
 }
 
-/// One renamed-register-file entry.
+/// An instruction together with the operand facts rename needs, derived
+/// once per code word when the image is loaded instead of once per fetch.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PrfEntry {
-    pub value: u32,
-    pub ready: bool,
+pub(crate) struct Decoded {
+    pub instr: Instr,
+    /// `instr.sources()`.
+    pub srcs: [Option<Reg>; 2],
+    /// `instr.dest()`.
+    pub dest: Option<Reg>,
+    /// `instr.is_mem()`.
+    pub is_mem: bool,
+    /// `instr.is_p_ret()`.
+    pub is_p_ret: bool,
+}
+
+impl Decoded {
+    pub fn new(instr: Instr) -> Decoded {
+        Decoded {
+            instr,
+            srcs: instr.sources(),
+            dest: instr.dest(),
+            is_mem: instr.is_mem(),
+            is_p_ret: instr.is_p_ret(),
+        }
+    }
 }
 
 /// The fetched instruction sitting in the 1-entry instruction buffer.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fetched {
     pub pc: u32,
-    pub instr: Instr,
+    pub op: Decoded,
 }
 
 /// One instruction-table (waiting station) entry.
@@ -76,61 +96,101 @@ pub(crate) struct Rb {
     pub wait: RbWait,
 }
 
-/// One reorder-buffer entry (in-order commit).
+/// One reorder-buffer entry (in-order commit). Its sequence number is
+/// its position: the ROB holds consecutive numbers ending at
+/// `next_seq - 1`. A `p_ret`'s resolved operands live in
+/// [`HartCtx::pret`], as a hart has at most one `p_ret` in flight (it
+/// fetches nothing after one).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RobEntry {
-    pub seq: u64,
     pub pc: u32,
     pub done: bool,
+    pub is_pret: bool,
     /// `(new_phys, old_phys)`: the old mapping is freed at commit.
     pub dest: Option<(PhysReg, Option<PhysReg>)>,
-    /// For `p_ret`: the resolved `(ra, t0)` pair, filled at issue.
-    pub pret: Option<(u32, u32)>,
-    pub is_pret: bool,
+}
+
+/// The commit-relevant state of the ROB head: a copy of the head entry's
+/// `done` and `is_pret` flags, kept among the hart's hot fields so the
+/// commit stage tests it without reading the ROB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RobHead {
+    /// The ROB is empty or its head is still in flight.
+    Busy,
+    /// The head has completed and may commit.
+    Done,
+    /// The head is a completed `p_ret`: it commits once the barrier
+    /// lets it.
+    DonePRet,
+}
+
+impl RobHead {
+    fn of(rob: &VecDeque<RobEntry>) -> RobHead {
+        match rob.front() {
+            Some(e) if e.done && e.is_pret => RobHead::DonePRet,
+            Some(e) if e.done => RobHead::Done,
+            _ => RobHead::Busy,
+        }
+    }
 }
 
 /// Full per-hart context.
+///
+/// `repr(C)` keeps the declaration order: the fields the five stage
+/// selectors test every cycle come first and share the struct's first
+/// cache lines, the rename-only and bookkeeping state follows.
 #[derive(Debug)]
+#[repr(C)]
 pub(crate) struct HartCtx {
-    pub id: HartId,
     pub state: HartState,
-    pub pc: Option<u32>,
     /// Set after every fetch; cleared when the next pc becomes known
     /// (decode for straight-line/direct-jump code, execute for branches).
     pub fetch_suspended: bool,
+    /// A decoded `p_syncm` is holding the fetch until the hart's memory
+    /// accesses drain.
+    pub syncm_wait: bool,
+    /// The ending-hart signal from the team predecessor has arrived;
+    /// consumed by the commit of a `p_ret`.
+    pub end_signal: bool,
+    /// Always `RobHead::of(&self.rob)`.
+    head: RobHead,
+    /// Memory accesses issued and not yet completed/acknowledged.
+    pub in_flight_mem: u32,
+    /// Memory instructions renamed but not yet issued.
+    pub mem_in_it: u32,
+    pub pc: Option<u32>,
+    pub ib: Option<Fetched>,
     /// The earliest cycle a pipeline-internal unsuspension takes effect:
     /// the next pc computed by decode (or execute) in cycle N can feed a
     /// fetch no earlier than cycle N+1 — which is why a lone hart cannot
     /// fill the pipeline (paper §5.2).
     pub resume_at: u64,
-    /// A decoded `p_syncm` is holding the fetch until the hart's memory
-    /// accesses drain.
-    pub syncm_wait: bool,
-    pub ib: Option<Fetched>,
-    /// Renaming table: architectural → physical.
-    pub rat: [PhysReg; 32],
-    pub prf: Vec<PrfEntry>,
-    pub free_phys: VecDeque<PhysReg>,
-    pub it: Vec<ItEntry>,
-    pub rob: VecDeque<RobEntry>,
     pub rb: Option<Rb>,
-    pub next_seq: u64,
-    /// Memory instructions renamed but not yet issued.
-    pub mem_in_it: u32,
-    /// Memory accesses issued and not yet completed/acknowledged.
-    pub in_flight_mem: u32,
+    pub rob: VecDeque<RobEntry>,
+    pub it: Vec<ItEntry>,
+    /// Per physical register: whether its value has been written back.
+    /// Kept apart from the values so the issue stage's operand checks
+    /// read one small array.
+    pub prf_ready: Vec<bool>,
+    /// Renaming (physical) register values.
+    pub prf: Vec<u32>,
+    pub free_phys: VecDeque<PhysReg>,
+    /// Capacity limits (from the machine configuration).
+    it_capacity: usize,
+    rob_capacity: usize,
     /// `p_swre` receive slots (the "result buffers" of the X_PAR ISA).
     pub recv: Vec<VecDeque<u32>>,
-    /// The ending-hart signal from the team predecessor has arrived;
-    /// consumed by the commit of a `p_ret`.
-    pub end_signal: bool,
+    pub id: HartId,
+    /// Renaming table: architectural → physical.
+    pub rat: [PhysReg; 32],
+    pub next_seq: u64,
+    /// The resolved `(ra, t0)` pair of the `p_ret` in the ROB, filled at
+    /// issue and taken at commit.
+    pub pret: Option<(u32, u32)>,
     /// The team successor: the hart this hart's last `p_jal`/`p_jalr`
     /// started (the paper's §3 "the hardware memorizes the necessary
     /// links"). The ending-hart signal is forwarded to it.
     pub team_succ: Option<HartId>,
-    /// Capacity limits (from the machine configuration).
-    it_capacity: usize,
-    rob_capacity: usize,
 }
 
 impl HartCtx {
@@ -150,20 +210,17 @@ impl HartCtx {
             fetch_suspended: true,
             resume_at: 0,
             syncm_wait: false,
+            head: RobHead::Busy,
             ib: None,
             rat: [0; 32],
-            prf: vec![
-                PrfEntry {
-                    value: 0,
-                    ready: true
-                };
-                phys_regs
-            ],
-            free_phys: VecDeque::new(),
-            it: Vec::new(),
-            rob: VecDeque::new(),
+            prf_ready: vec![true; phys_regs],
+            prf: vec![0; phys_regs],
+            free_phys: VecDeque::with_capacity(phys_regs),
+            it: Vec::with_capacity(it_capacity),
+            rob: VecDeque::with_capacity(rob_capacity),
             rb: None,
             next_seq: 0,
+            pret: None,
             mem_in_it: 0,
             in_flight_mem: 0,
             recv: (0..result_slots).map(|_| VecDeque::new()).collect(),
@@ -181,18 +238,16 @@ impl HartCtx {
     fn reset_register_state(&mut self, sp: u32) {
         for i in 0..32 {
             self.rat[i] = i as PhysReg;
-            self.prf[i] = PrfEntry {
-                value: 0,
-                ready: true,
-            };
+            self.prf[i] = 0;
+            self.prf_ready[i] = true;
         }
-        self.prf[Reg::SP.index()] = PrfEntry {
-            value: sp,
-            ready: true,
-        };
-        self.free_phys = (32..self.prf.len() as PhysReg).collect();
+        self.prf[Reg::SP.index()] = sp;
+        self.free_phys.clear();
+        self.free_phys.extend(32..self.prf.len() as PhysReg);
         self.it.clear();
         self.rob.clear();
+        self.head = RobHead::Busy;
+        self.pret = None;
         self.rb = None;
         self.ib = None;
         self.mem_in_it = 0;
@@ -253,12 +308,12 @@ impl HartCtx {
 
     /// Reads a source operand value if ready.
     pub fn src_ready(&self, src: Option<PhysReg>) -> bool {
-        src.is_none_or(|p| self.prf[p as usize].ready)
+        src.is_none_or(|p| self.prf_ready[p as usize])
     }
 
     /// The value of a renamed source (`None` reads as zero, i.e. `x0`).
     pub fn src_value(&self, src: Option<PhysReg>) -> u32 {
-        src.map_or(0, |p| self.prf[p as usize].value)
+        src.map_or(0, |p| self.prf[p as usize])
     }
 
     /// Whether rename can accept one more instruction.
@@ -274,74 +329,85 @@ impl HartCtx {
     pub fn rename(&mut self, f: Fetched) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let srcs = f.instr.sources().map(|s| s.map(|r| self.rat[r.index()]));
-        let dest = f.instr.dest().map(|rd| {
+        let op = f.op;
+        let srcs = op.srcs.map(|s| s.map(|r| self.rat[r.index()]));
+        let dest = op.dest.map(|rd| {
             let new = self.free_phys.pop_front().expect("checked by capacity");
             let old = self.rat[rd.index()];
             self.rat[rd.index()] = new;
-            self.prf[new as usize].ready = false;
+            self.prf_ready[new as usize] = false;
             (rd, new, old)
         });
         self.it.push(ItEntry {
             seq,
             pc: f.pc,
-            instr: f.instr,
+            instr: op.instr,
             srcs,
             dest: dest.map(|(_, new, _)| new),
         });
         self.rob.push_back(RobEntry {
-            seq,
             pc: f.pc,
             done: false,
+            is_pret: op.is_p_ret,
             dest: dest.map(|(_, new, old)| (new, Some(old))),
-            pret: None,
-            is_pret: f.instr.is_p_ret(),
         });
-        if f.instr.is_mem() {
+        if op.is_mem {
             self.mem_in_it += 1;
         }
         seq
     }
 
     /// The oldest instruction-table entry whose operands (and special
-    /// conditions) are satisfied.
+    /// conditions) are satisfied. Rename appends entries in sequence
+    /// order and issue removes them in place, so the table stays sorted
+    /// by age and the first ready entry is the oldest.
     pub fn oldest_ready(&self) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, e) in self.it.iter().enumerate() {
-            if !self.src_ready(e.srcs[0]) || !self.src_ready(e.srcs[1]) {
-                continue;
-            }
-            if let Instr::PLwre { offset, .. } = e.instr {
-                let slot = offset as usize;
-                if self.recv.get(slot).is_none_or(|q| q.is_empty()) {
-                    continue;
+        self.it.iter().position(|e| {
+            self.src_ready(e.srcs[0])
+                && self.src_ready(e.srcs[1])
+                && match e.instr {
+                    Instr::PLwre { offset, .. } => self
+                        .recv
+                        .get(offset as usize)
+                        .is_some_and(|q| !q.is_empty()),
+                    _ => true,
                 }
-            }
-            if best.is_none_or(|(s, _)| e.seq < s) {
-                best = Some((e.seq, i));
-            }
-        }
-        best.map(|(_, i)| i)
+        })
+    }
+
+    /// The position of `seq` in the ROB. The ROB holds the consecutive
+    /// sequence numbers up to `next_seq - 1` (rename appends `next_seq`,
+    /// commit pops the head), so the head is `next_seq - rob.len()`.
+    fn rob_index(&self, seq: u64) -> usize {
+        (seq + self.rob.len() as u64 - self.next_seq) as usize
     }
 
     /// Marks the ROB entry of `seq` as done.
     pub fn rob_mark_done(&mut self, seq: u64) {
-        let e = self
-            .rob
-            .iter_mut()
-            .find(|e| e.seq == seq)
-            .expect("rob entry for completed instruction");
-        e.done = true;
+        let i = self.rob_index(seq);
+        self.rob[i].done = true;
+        if i == 0 {
+            self.head = RobHead::of(&self.rob);
+        }
     }
 
-    /// Stores the resolved `(ra, t0)` pair in the ROB entry of a `p_ret`.
-    pub fn rob_set_pret(&mut self, seq: u64, ra: u32, t0: u32) {
-        let e = self
-            .rob
-            .iter_mut()
-            .find(|e| e.seq == seq)
-            .expect("rob entry for p_ret");
-        e.pret = Some((ra, t0));
+    /// The commit-relevant state of the ROB head.
+    pub fn rob_head(&self) -> RobHead {
+        self.head
+    }
+
+    /// Removes the completed ROB head for commit.
+    pub fn rob_pop(&mut self) -> RobEntry {
+        debug_assert_ne!(self.head, RobHead::Busy, "only a completed head commits");
+        let e = self.rob.pop_front().expect("ROB head to commit");
+        self.head = RobHead::of(&self.rob);
+        e
+    }
+
+    /// Stores the resolved `(ra, t0)` pair of the in-flight `p_ret`.
+    pub fn set_pret(&mut self, ra: u32, t0: u32) {
+        debug_assert!(self.pret.is_none(), "one p_ret in flight per hart");
+        self.pret = Some((ra, t0));
     }
 
     /// Whether every memory access decoded so far has completed
@@ -364,15 +430,15 @@ impl HartCtx {
         w.bool(self.syncm_wait);
         w.opt(&self.ib, |w, f| {
             w.u32(f.pc);
-            put_instr(w, &f.instr);
+            put_instr(w, &f.op.instr);
         });
         for &p in &self.rat {
             w.u16(p);
         }
         w.seq(self.prf.len());
-        for e in &self.prf {
-            w.u32(e.value);
-            w.bool(e.ready);
+        for (&value, &ready) in self.prf.iter().zip(&self.prf_ready) {
+            w.u32(value);
+            w.bool(ready);
         }
         w.seq(self.free_phys.len());
         for &p in &self.free_phys {
@@ -389,15 +455,17 @@ impl HartCtx {
             w.opt(&e.dest, |w, &p| w.u16(p));
         }
         w.seq(self.rob.len());
-        for e in &self.rob {
-            w.u64(e.seq);
+        let head = self.next_seq - self.rob.len() as u64;
+        for (i, e) in self.rob.iter().enumerate() {
+            w.u64(head + i as u64);
             w.u32(e.pc);
             w.bool(e.done);
             w.opt(&e.dest, |w, &(new, old)| {
                 w.u16(new);
                 w.opt(&old, |w, &p| w.u16(p));
             });
-            w.opt(&e.pret, |w, &(ra, t0)| {
+            let pret = if e.is_pret { self.pret } else { None };
+            w.opt(&pret, |w, &(ra, t0)| {
                 w.u32(ra);
                 w.u32(t0);
             });
@@ -452,7 +520,7 @@ impl HartCtx {
         let ib = r.opt(|r| {
             Ok(Fetched {
                 pc: r.u32()?,
-                instr: get_instr(r)?,
+                op: Decoded::new(get_instr(r)?),
             })
         })?;
         let mut rat = [0 as PhysReg; 32];
@@ -460,11 +528,10 @@ impl HartCtx {
             *slot = r.u16()?;
         }
         let mut prf = Vec::new();
+        let mut prf_ready = Vec::new();
         for _ in 0..r.seq()? {
-            prf.push(PrfEntry {
-                value: r.u32()?,
-                ready: r.bool()?,
-            });
+            prf.push(r.u32()?);
+            prf_ready.push(r.bool()?);
         }
         let mut free_phys = VecDeque::new();
         for _ in 0..r.seq()? {
@@ -486,8 +553,10 @@ impl HartCtx {
             });
         }
         let mut rob = VecDeque::new();
+        let mut rob_seqs = Vec::new();
+        let mut prets = Vec::new();
         for _ in 0..r.seq()? {
-            let seq = r.u64()?;
+            rob_seqs.push(r.u64()?);
             let pc = r.u32()?;
             let done = r.bool()?;
             let dest = r.opt(|r| {
@@ -497,13 +566,12 @@ impl HartCtx {
             })?;
             let pret = r.opt(|r| Ok((r.u32()?, r.u32()?)))?;
             let is_pret = r.bool()?;
+            prets.extend(pret.map(|p| (p, is_pret)));
             rob.push_back(RobEntry {
-                seq,
                 pc,
                 done,
-                dest,
-                pret,
                 is_pret,
+                dest,
             });
         }
         let rb = r.opt(|r| {
@@ -547,6 +615,35 @@ impl HartCtx {
                 "hart {id}: physical register index beyond the {bound}-entry file"
             )));
         }
+        // The ROB holds the consecutive sequence numbers just below
+        // `next_seq`, and the IT and the result buffer only instructions
+        // still in the ROB, the IT in age order: the pipeline indexes the
+        // ROB by sequence number and issues the first ready IT entry.
+        let head = next_seq.checked_sub(rob.len() as u64);
+        let rob_ordered = rob_seqs
+            .iter()
+            .enumerate()
+            .all(|(i, &seq)| head.and_then(|h| h.checked_add(i as u64)) == Some(seq));
+        let in_rob = |seq: u64| head.is_some_and(|h| seq >= h && seq < next_seq);
+        let it_ordered = it.windows(2).all(|w| w[0].seq < w[1].seq);
+        if !rob_ordered
+            || !it_ordered
+            || !it.iter().all(|e| in_rob(e.seq))
+            || !rb.iter().all(|rb| in_rob(rb.seq))
+        {
+            return Err(SnapError::Corrupt(format!(
+                "hart {id}: ROB, instruction table or result buffer out of sequence order"
+            )));
+        }
+        let pret = match prets[..] {
+            [] => None,
+            [(pret, true)] => Some(pret),
+            _ => {
+                return Err(SnapError::Corrupt(format!(
+                    "hart {id}: resolved p_ret operands outside a single p_ret entry"
+                )))
+            }
+        };
         Ok(HartCtx {
             id,
             state,
@@ -554,14 +651,17 @@ impl HartCtx {
             fetch_suspended,
             resume_at,
             syncm_wait,
+            head: RobHead::of(&rob),
             ib,
             rat,
+            prf_ready,
             prf,
             free_phys,
             it,
             rob,
             rb,
             next_seq,
+            pret,
             mem_in_it,
             in_flight_mem,
             recv,
@@ -585,12 +685,12 @@ mod tests {
     fn addi(rd: Reg, rs1: Reg, imm: i32) -> Fetched {
         Fetched {
             pc: 0,
-            instr: Instr::OpImm {
+            op: Decoded::new(Instr::OpImm {
                 kind: OpImmKind::Add,
                 rd,
                 rs1,
                 imm,
-            },
+            }),
         }
     }
 
@@ -603,7 +703,7 @@ mod tests {
         let after = h.rat[Reg::A0.index()];
         assert_ne!(before, after);
         assert_eq!(h.rob[0].dest, Some((after, Some(before))));
-        assert!(!h.prf[after as usize].ready);
+        assert!(!h.prf_ready[after as usize]);
         // Source was renamed against the old mapping.
         assert_eq!(h.it[0].srcs[0], Some(before));
     }
@@ -619,13 +719,58 @@ mod tests {
         // Make the first's dest ready: second becomes eligible, but the
         // first is still older.
         let d = h.it[0].dest.unwrap();
-        h.prf[d as usize] = PrfEntry {
-            value: 7,
-            ready: true,
-        };
+        h.prf[d as usize] = 7;
+        h.prf_ready[d as usize] = true;
         h.it.remove(0);
         let idx = h.oldest_ready().unwrap();
         assert_eq!(h.it[idx].seq, 1);
+    }
+
+    /// The ROB is indexed by sequence number and the head's state is
+    /// tracked through out-of-order completion and in-order commit.
+    #[test]
+    fn rob_head_follows_completion_and_commit() {
+        let mut h = hart();
+        h.boot(0, 0x1000);
+        h.next_seq = 7; // as after earlier, committed instructions
+        let first = h.rename(addi(Reg::A0, Reg::A0, 1));
+        let second = h.rename(addi(Reg::A1, Reg::A1, 1));
+        assert_eq!(h.rob_head(), RobHead::Busy);
+        h.rob_mark_done(second);
+        assert!(h.rob[1].done && !h.rob[0].done);
+        assert_eq!(h.rob_head(), RobHead::Busy, "the head is still in flight");
+        h.rob_mark_done(first);
+        assert_eq!(h.rob_head(), RobHead::Done);
+        h.rob_pop();
+        assert_eq!(
+            h.rob_head(),
+            RobHead::Done,
+            "the next head completed earlier"
+        );
+        h.rob_pop();
+        assert_eq!(h.rob_head(), RobHead::Busy);
+        assert!(h.rob.is_empty());
+    }
+
+    /// A snapshot whose instruction table names an instruction outside
+    /// the ROB is refused with a typed error instead of indexing past
+    /// the ROB later.
+    #[test]
+    fn unsnap_rejects_instructions_outside_the_rob() {
+        let mut h = hart();
+        h.boot(0, 0x1000);
+        h.rename(addi(Reg::A0, Reg::A0, 1));
+        let snap = |h: &HartCtx| {
+            let mut w = SnapWriter::new();
+            h.snap(&mut w);
+            w.into_bytes()
+        };
+        let bytes = snap(&h);
+        assert!(HartCtx::unsnap(&mut SnapReader::new(&bytes)).is_ok());
+        h.it[0].seq = 5;
+        let bytes = snap(&h);
+        let err = HartCtx::unsnap(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
@@ -634,10 +779,10 @@ mod tests {
         h.boot(0, 0x1000);
         h.rename(Fetched {
             pc: 0,
-            instr: Instr::PLwre {
+            op: Decoded::new(Instr::PLwre {
                 rd: Reg::A0,
                 offset: 2,
-            },
+            }),
         });
         assert_eq!(h.oldest_ready(), None);
         h.recv[2].push_back(99);
@@ -653,8 +798,8 @@ mod tests {
         h.allocate(0x2000);
         assert_eq!(h.state, HartState::Reserved);
         assert!(h.it.is_empty() && h.rob.is_empty());
-        assert_eq!(h.prf[h.rat[Reg::SP.index()] as usize].value, 0x2000);
-        assert_eq!(h.prf[h.rat[Reg::A0.index()] as usize].value, 0);
+        assert_eq!(h.prf[h.rat[Reg::SP.index()] as usize], 0x2000);
+        assert_eq!(h.prf[h.rat[Reg::A0.index()] as usize], 0);
         assert!(!h.end_signal);
     }
 
@@ -680,12 +825,12 @@ mod tests {
         assert!(h.mem_drained());
         h.rename(Fetched {
             pc: 0,
-            instr: Instr::Load {
+            op: Decoded::new(Instr::Load {
                 kind: lbp_isa::LoadKind::W,
                 rd: Reg::A0,
                 rs1: Reg::SP,
                 offset: 0,
-            },
+            }),
         });
         assert!(!h.mem_drained());
     }

@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 mod bank;
+mod bitset;
 mod config;
 mod core;
 mod deadlock;

@@ -4,6 +4,7 @@ use lbp_asm::Image;
 use lbp_isa::HartId;
 
 use crate::bank::MemSys;
+use crate::bitset::BitSet;
 use crate::config::LbpConfig;
 use crate::core::{Core, Env};
 use crate::dump::SimFailure;
@@ -107,6 +108,14 @@ pub struct Machine {
     /// Consecutive cycles without a retirement anywhere; once it reaches
     /// [`QUIET_CYCLES`] the deadlock detector starts checking.
     quiet_cycles: u64,
+    /// Scratch for [`Machine::deliver`]: the cores with something to
+    /// deliver, and the memory responses and fabric messages of one core,
+    /// kept between cycles so their capacity is reused. Empty between
+    /// cycles unless a delivery failed, which leaves cores that only
+    /// need an extra look.
+    arrivals: BitSet,
+    resp_buf: Vec<NetMsg>,
+    msg_buf: Vec<CoreMsg>,
 }
 
 /// Cycles without any retirement before the deadlock detector runs. The
@@ -181,6 +190,9 @@ impl Machine {
             pending_faults,
             faults_applied: 0,
             quiet_cycles: 0,
+            arrivals: BitSet::new(cfg.cores),
+            resp_buf: Vec::new(),
+            msg_buf: Vec::new(),
             cores,
             mem,
             cfg,
@@ -347,11 +359,11 @@ impl Machine {
             if self.cycle >= target {
                 return Ok(false);
             }
-            let retired_before = self.stats.retired();
-            if let Err(e) = self.tick() {
-                return Err(self.failure(e));
-            }
-            if self.stats.retired() > retired_before {
+            let retired = match self.step() {
+                Ok(retired) => retired,
+                Err(e) => return Err(self.failure(e)),
+            };
+            if retired {
                 self.quiet_cycles = 0;
             } else {
                 self.quiet_cycles += 1;
@@ -529,6 +541,14 @@ impl Machine {
         let mem = MemSys::unsnap(&mut r)?;
         let fabric = Fabric::unsnap_dyn(&mut r, drop_nth, delay_nth, fabric_faults)?;
         r.finish()?;
+        if mem.cores() != cfg.cores || fabric.cores() != cfg.cores {
+            return Err(SnapError::Corrupt(format!(
+                "memory system spans {} cores and fabric {}, configuration says {}",
+                mem.cores(),
+                fabric.cores(),
+                cfg.cores
+            )));
+        }
         Ok(Machine {
             cfg,
             cores,
@@ -545,11 +565,24 @@ impl Machine {
             pending_faults,
             faults_applied,
             quiet_cycles,
+            arrivals: BitSet::new(ncores),
+            resp_buf: Vec::new(),
+            msg_buf: Vec::new(),
         })
     }
 
     /// Advances the machine by one cycle.
+    ///
+    /// # Errors
+    ///
+    /// Any fatal fault the cycle raises.
     pub fn tick(&mut self) -> Result<(), SimError> {
+        self.step().map(|_| ())
+    }
+
+    /// Advances the machine by one cycle; returns whether any core
+    /// retired an instruction.
+    fn step(&mut self) -> Result<bool, SimError> {
         self.cycle += 1;
         let now = self.cycle;
         // 0. Cycle-triggered fault injection (validated at construction).
@@ -562,22 +595,23 @@ impl Machine {
         // 2. Deliver arrivals to harts.
         self.deliver()?;
         // 3. Core pipelines.
-        for c in 0..self.cores.len() {
-            let mut env = Env {
-                mem: &mut self.mem,
-                fabric: &mut self.fabric,
-                stats: &mut self.stats,
-                trace: &mut self.trace,
-                trace_on: self.cfg.trace,
-                sink: self.sink.as_deref_mut().map(|s| s as &mut dyn TraceSink),
-                lat: self.cfg.latencies,
-                now,
-                cores: self.cfg.cores,
-                exited: &mut self.exited,
-                prof: self.prof.as_deref_mut(),
-                race: self.race.as_deref_mut(),
-            };
-            self.cores[c].tick(&mut env)?;
+        let mut env = Env {
+            mem: &mut self.mem,
+            fabric: &mut self.fabric,
+            stats: &mut self.stats,
+            trace: &mut self.trace,
+            trace_on: self.cfg.trace,
+            sink: self.sink.as_deref_mut().map(|s| s as &mut dyn TraceSink),
+            lat: self.cfg.latencies,
+            now,
+            cores: self.cfg.cores,
+            exited: &mut self.exited,
+            prof: self.prof.as_deref_mut(),
+            race: self.race.as_deref_mut(),
+        };
+        let mut retired = false;
+        for core in &mut self.cores {
+            retired |= core.tick(&mut env)?;
         }
         // 4. Banks serve their ports.
         self.mem.tick(now, self.prof.as_deref_mut())?;
@@ -590,7 +624,7 @@ impl Machine {
         if interval > 0 && self.cycle.is_multiple_of(interval) {
             self.take_sample();
         }
-        Ok(())
+        Ok(retired)
     }
 
     /// Applies every pending fault whose trigger cycle has arrived.
@@ -613,7 +647,7 @@ impl Machine {
             Fault::FlipReg { hart, reg, bit, .. } => {
                 let h = self.hart_mut(hart);
                 let phys = h.rat[reg.index()] as usize;
-                h.prf[phys].value ^= 1 << bit;
+                h.prf[phys] ^= 1 << bit;
             }
             Fault::FlipMem { addr, bit, .. } => self.mem.flip_shared_bit(addr, bit),
             Fault::CorruptInstr { pc, xor, .. } => self.mem.corrupt_code(pc, xor),
@@ -650,19 +684,34 @@ impl Machine {
     /// last hop.
     fn deliver(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
-        for c in 0..self.cores.len() as u32 {
-            // Memory responses: from the network and from the local ports.
-            let mut resps = self.mem.net.take_core_inbox(c);
-            resps.extend(self.mem.take_staged(c));
-            for msg in resps {
-                self.deliver_mem(c, msg)?;
-            }
-            // Fork/join fabric messages.
-            let msgs = self.fabric.take_inbox(c);
-            for msg in msgs {
-                self.deliver_core_msg(c, msg, now)?;
+        // Only cores something arrived for, in ascending order. Delivery
+        // sends fabric messages only to the delivering core itself (a
+        // same-core acknowledgement), and those wait for the next cycle.
+        self.mem.take_response_arrivals(&mut self.arrivals);
+        self.fabric.take_arrivals(&mut self.arrivals);
+        let mut resps = std::mem::take(&mut self.resp_buf);
+        let mut msgs = std::mem::take(&mut self.msg_buf);
+        for w in 0..self.arrivals.words() {
+            for c in self.arrivals.word_members(w) {
+                let c = c as u32;
+                // Memory responses: from the network and from the local
+                // ports.
+                self.mem.net.drain_core_inbox(c, &mut resps);
+                self.mem.drain_staged(c, &mut resps);
+                for msg in resps.drain(..) {
+                    self.deliver_mem(c, msg)?;
+                }
+                // Fork/join fabric messages, drained before any is
+                // delivered.
+                self.fabric.drain_inbox(c, &mut msgs);
+                for msg in msgs.drain(..) {
+                    self.deliver_core_msg(c, msg, now)?;
+                }
             }
         }
+        self.arrivals.clear();
+        self.resp_buf = resps;
+        self.msg_buf = msgs;
         Ok(())
     }
 
@@ -836,7 +885,6 @@ impl Machine {
                 self.emit(to, EventKind::ResultDelivered { slot, value });
             }
         }
-        let _ = now;
         Ok(())
     }
 
@@ -845,7 +893,7 @@ impl Machine {
     /// pipeline is drained).
     pub fn reg(&self, hart: HartId, reg: lbp_isa::Reg) -> u32 {
         let h = &self.cores[hart.core() as usize].harts[hart.local() as usize];
-        h.prf[h.rat[reg.index()] as usize].value
+        h.prf[h.rat[reg.index()] as usize]
     }
 
     /// An FNV-1a-64 hash of the machine's *architectural* state: hart
@@ -884,7 +932,7 @@ impl Machine {
                     None => h.u8(0),
                 }
                 for r in 0..32 {
-                    h.u32(hart.prf[hart.rat[r] as usize].value);
+                    h.u32(hart.prf[hart.rat[r] as usize]);
                 }
                 for q in &hart.recv {
                     h.u64(q.len() as u64);
@@ -1030,8 +1078,8 @@ pub(crate) fn materialize_from_fast(
             // architectural register r lives in physical register r.
             for r in 0..32 {
                 let phys = h.rat[r] as usize;
-                h.prf[phys].value = view.regs[r];
-                h.prf[phys].ready = true;
+                h.prf[phys] = view.regs[r];
+                h.prf_ready[phys] = true;
             }
         }
         for (q, src) in h.recv.iter_mut().zip(view.recv) {

@@ -15,6 +15,7 @@
 
 use std::collections::VecDeque;
 
+use crate::bitset::BitSet;
 use crate::msg::NetMsg;
 use crate::snapshot::{SnapError, SnapReader, SnapWriter};
 
@@ -57,9 +58,23 @@ pub struct Network {
     shared_bank_bytes: u32,
     #[cfg_attr(not(test), allow(dead_code))] // reported by levels(), used in tests
     levels: u32,
-    /// Routers per level, `routers[0] == cores` (a pseudo-level).
-    routers: Vec<u32>,
+    /// Index of the first inter-router edge leaving each level
+    /// (`inter_base[level]`, for levels 1 and up; entry 0 is unused).
+    inter_base: Vec<usize>,
     edges: Vec<Edge>,
+    /// The edges whose queue is non-empty, exactly, so a tick visits
+    /// only busy links. Not serialized: it is a function of the queues
+    /// and is rebuilt on restore.
+    active: BitSet,
+    /// Banks whose network port received a request since the memory
+    /// system last collected them ([`Network::take_bank_arrivals`]).
+    bank_arrivals: BitSet,
+    /// Cores that received a response since the machine last collected
+    /// them ([`Network::take_core_arrivals`]).
+    core_arrivals: BitSet,
+    /// Scratch for [`Network::tick`]'s messages in transit, kept between
+    /// cycles so its capacity is reused.
+    moved: Vec<(Dest, NetMsg)>,
     /// Requests that arrived at each bank's network port.
     bank_inbox: Vec<VecDeque<NetMsg>>,
     /// Responses/acks that arrived back at each core.
@@ -87,12 +102,20 @@ impl Network {
             }
         }
         let levels = routers.len() as u32 - 1;
+        let mut inter_base = vec![0, (cores * 4) as usize];
+        for level in 1..levels as usize {
+            inter_base.push(inter_base[level] + routers[level] as usize * 2);
+        }
         let mut net = Network {
             cores,
             shared_bank_bytes,
             levels,
-            routers,
+            inter_base,
             edges: Vec::new(),
+            active: BitSet::default(),
+            bank_arrivals: BitSet::new(cores as usize),
+            core_arrivals: BitSet::new(cores as usize),
+            moved: Vec::new(),
             bank_inbox: (0..cores).map(|_| VecDeque::new()).collect(),
             core_inbox: (0..cores).map(|_| Vec::new()).collect(),
             hops: 0,
@@ -125,7 +148,7 @@ impl Network {
         // Inter-router edges: one up and one down per router per level
         // boundary.
         for level in 1..levels {
-            let count = net.routers[level as usize];
+            let count = routers[level as usize];
             for i in 0..count {
                 let parent = Node {
                     level: level + 1,
@@ -142,7 +165,13 @@ impl Network {
                 }); // down
             }
         }
+        net.active = BitSet::new(net.edges.len());
         net
+    }
+
+    /// Number of cores (and banks) the network connects.
+    pub fn cores(&self) -> u32 {
+        self.cores
     }
 
     /// Number of router levels (1 = r1 only, 3 = the paper's 64-core
@@ -170,33 +199,31 @@ impl Network {
         (b * 4 + 3) as usize
     }
 
-    fn inter_base(&self, level: u32) -> usize {
-        let mut base = (self.cores * 4) as usize;
-        for l in 1..level {
-            base += self.routers[l as usize] as usize * 2;
-        }
-        base
-    }
-
     fn e_up(&self, node: Node) -> usize {
-        self.inter_base(node.level) + node.index as usize * 2
+        self.inter_base[node.level as usize] + node.index as usize * 2
     }
 
     fn e_down(&self, node: Node) -> usize {
-        self.inter_base(node.level) + node.index as usize * 2 + 1
+        self.inter_base[node.level as usize] + node.index as usize * 2 + 1
+    }
+
+    /// Queues a message on edge `e` and marks the edge busy.
+    fn push(&mut self, e: usize, msg: NetMsg) {
+        self.edges[e].queue.push_back(msg);
+        self.active.insert(e);
     }
 
     /// Injects a request from a core into the network (the core's
     /// up-link).
     pub fn send_from_core(&mut self, core: u32, msg: NetMsg) {
         let e = self.e_core_up(core);
-        self.edges[e].queue.push_back(msg);
+        self.push(e, msg);
     }
 
     /// Injects a response from a bank's network port.
     pub fn send_from_bank(&mut self, bank: u32, msg: NetMsg) {
         let e = self.e_bank_resp(bank);
-        self.edges[e].queue.push_back(msg);
+        self.push(e, msg);
     }
 
     /// The requests waiting at a bank's network port.
@@ -204,16 +231,23 @@ impl Network {
         &mut self.bank_inbox[bank as usize]
     }
 
-    /// Takes the responses delivered to a core this cycle.
-    pub fn take_core_inbox(&mut self, core: u32) -> Vec<NetMsg> {
-        std::mem::take(&mut self.core_inbox[core as usize])
+    /// Moves the responses delivered to a core this cycle to the end of
+    /// `out`, keeping both buffers' capacity.
+    pub fn drain_core_inbox(&mut self, core: u32, out: &mut Vec<NetMsg>) {
+        out.append(&mut self.core_inbox[core as usize]);
+    }
+
+    /// Moves the set of cores that received responses since the last
+    /// call into `into`.
+    pub fn take_core_arrivals(&mut self, into: &mut BitSet) {
+        into.take_from(&mut self.core_arrivals);
     }
 
     /// Whether nothing is in flight: every link queue, bank port and core
     /// inbox is empty. Feeds the machine's quiescence-based deadlock
     /// detector.
     pub fn is_quiet(&self) -> bool {
-        self.edges.iter().all(|e| e.queue.is_empty())
+        self.active.is_empty()
             && self.bank_inbox.iter().all(VecDeque::is_empty)
             && self.core_inbox.iter().all(Vec::is_empty)
     }
@@ -229,23 +263,43 @@ impl Network {
     /// Advances every link by one cycle: each edge delivers at most one
     /// message one hop onward.
     pub fn tick(&mut self) {
-        // Phase 1: pop one message per edge (the link's bandwidth).
-        let mut moved: Vec<(Dest, NetMsg)> = Vec::new();
-        for e in &mut self.edges {
-            if let Some(msg) = e.queue.pop_front() {
-                moved.push((e.dest, msg));
-                self.contended += e.queue.len() as u64;
+        // Phase 1: pop one message per busy edge (the link's bandwidth),
+        // in ascending edge order. Idle edges would pop nothing, so
+        // skipping them changes neither the order nor the counters.
+        let mut moved = std::mem::take(&mut self.moved);
+        for w in 0..self.active.words() {
+            for e in self.active.word_members(w) {
+                let edge = &mut self.edges[e];
+                let msg = edge.queue.pop_front().expect("active edge has a message");
+                moved.push((edge.dest, msg));
+                self.contended += edge.queue.len() as u64;
+                if edge.queue.is_empty() {
+                    self.active.remove(e);
+                }
             }
         }
         self.hops += moved.len() as u64;
         // Phase 2: route each message at the node it just reached.
-        for (dest, msg) in moved {
+        for (dest, msg) in moved.drain(..) {
             match dest {
-                Dest::Deliver(Endpoint::Core(c)) => self.core_inbox[c as usize].push(msg),
-                Dest::Deliver(Endpoint::Bank(b)) => self.bank_inbox[b as usize].push_back(msg),
+                Dest::Deliver(Endpoint::Core(c)) => {
+                    self.core_inbox[c as usize].push(msg);
+                    self.core_arrivals.insert(c as usize);
+                }
+                Dest::Deliver(Endpoint::Bank(b)) => {
+                    self.bank_inbox[b as usize].push_back(msg);
+                    self.bank_arrivals.insert(b as usize);
+                }
                 Dest::Router(node) => self.route(node, msg),
             }
         }
+        self.moved = moved;
+    }
+
+    /// Moves the set of banks that received requests since the last call
+    /// into `into`.
+    pub fn take_bank_arrivals(&mut self, into: &mut BitSet) {
+        into.take_from(&mut self.bank_arrivals);
     }
 
     /// Serializes the routing parameters and every in-flight message.
@@ -294,9 +348,9 @@ impl Network {
                 net.edges.len()
             )));
         }
-        for e in &mut net.edges {
+        for e in 0..net.edges.len() {
             for _ in 0..r.seq()? {
-                e.queue.push_back(NetMsg::unsnap(r)?);
+                net.push(e, NetMsg::unsnap(r)?);
             }
         }
         let banks = r.seq()?;
@@ -305,9 +359,10 @@ impl Network {
                 "{banks} bank inboxes for {cores} cores"
             )));
         }
-        for q in &mut net.bank_inbox {
+        for (b, q) in net.bank_inbox.iter_mut().enumerate() {
             for _ in 0..r.seq()? {
                 q.push_back(NetMsg::unsnap(r)?);
+                net.bank_arrivals.insert(b);
             }
         }
         let inboxes = r.seq()?;
@@ -316,9 +371,10 @@ impl Network {
                 "{inboxes} core inboxes for {cores} cores"
             )));
         }
-        for inbox in &mut net.core_inbox {
+        for (c, inbox) in net.core_inbox.iter_mut().enumerate() {
             for _ in 0..r.seq()? {
                 inbox.push(NetMsg::unsnap(r)?);
+                net.core_arrivals.insert(c);
             }
         }
         net.hops = r.u64()?;
@@ -358,7 +414,7 @@ impl Network {
         } else {
             self.e_up(node)
         };
-        self.edges[e].queue.push_back(msg);
+        self.push(e, msg);
     }
 }
 
@@ -375,6 +431,13 @@ mod tests {
             size: 4,
             signed: false,
         }
+    }
+
+    /// Drains the responses delivered to `core`.
+    fn inbox(net: &mut Network, core: u32) -> Vec<NetMsg> {
+        let mut out = Vec::new();
+        net.drain_core_inbox(core, &mut out);
+        out
     }
 
     /// Ticks until the request reaches the bank inbox; returns the cycle.
@@ -445,7 +508,7 @@ mod tests {
         let mut arrived = 0;
         for cycle in 1..100 {
             net.tick();
-            let inbox = net.take_core_inbox(0);
+            let inbox = inbox(&mut net, 0);
             if !inbox.is_empty() {
                 arrived = cycle;
                 assert_eq!(inbox.len(), 1);
@@ -599,7 +662,7 @@ mod tests {
         net.tick();
         net.tick();
         assert_eq!(net.bank_queue(1).len(), 1, "request arrived");
-        assert_eq!(net.take_core_inbox(0).len(), 1, "response arrived");
+        assert_eq!(inbox(&mut net, 0).len(), 1, "response arrived");
         assert_eq!(net.contended, 0, "opposite directions never contend");
     }
 
@@ -630,13 +693,94 @@ mod tests {
             },
         );
         net.tick();
-        assert!(net.take_core_inbox(0).is_empty());
+        assert!(inbox(&mut net, 0).is_empty());
         net.tick();
-        assert_eq!(
-            net.take_core_inbox(0).len(),
-            1,
-            "response after 2 more cycles"
-        );
+        assert_eq!(inbox(&mut net, 0).len(), 1, "response after 2 more cycles");
         assert_eq!(net.hops, 4);
+    }
+
+    /// Whether the busy-edge bitset names exactly the non-empty queues.
+    fn active_is_exact(net: &Network) -> bool {
+        net.edges
+            .iter()
+            .enumerate()
+            .all(|(e, edge)| net.active.contains(e) != edge.queue.is_empty())
+    }
+
+    /// A deterministic xorshift stream for traffic generation.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u32) -> u32 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as u32
+        }
+    }
+
+    /// One cycle of seeded random traffic: a few requests from cores and
+    /// responses from banks, then a tick; bank inboxes are drained so
+    /// requests leave the network like a bank port would take them.
+    fn random_cycle(net: &mut Network, rng: &mut Rng, cores: u32, bank_bytes: u32) {
+        for _ in 0..rng.below(4) {
+            let (core, bank) = (rng.below(cores), rng.below(cores));
+            net.send_from_core(core, read_req(SHARED_BASE + bank * bank_bytes, core * 4));
+        }
+        for _ in 0..rng.below(3) {
+            let (bank, core) = (rng.below(cores), rng.below(cores));
+            let resp = NetMsg::WriteAck {
+                addr: SHARED_BASE + bank * bank_bytes,
+                hart: HartId::new(core * 4),
+            };
+            net.send_from_bank(bank, resp);
+        }
+        net.tick();
+        for b in 0..cores {
+            net.bank_queue(b).clear();
+            inbox(net, b);
+        }
+    }
+
+    fn snap_bytes(net: &Network) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        net.snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// The busy-edge bitset equals the set of non-empty edges after every
+    /// cycle of seeded random traffic, and a mid-flight snapshot restores
+    /// the same bitset and then evolves identically to the original.
+    #[test]
+    fn active_edges_track_non_empty_queues() {
+        let bank_bytes = 0x10000;
+        for (cores, seed) in [(4u32, 1u64), (16, 7), (64, 42), (100, 9)] {
+            let mut net = Network::new(cores as usize, bank_bytes);
+            let mut rng = Rng(seed);
+            for _ in 0..200 {
+                random_cycle(&mut net, &mut rng, cores, bank_bytes);
+                assert!(active_is_exact(&net), "{cores} cores, seed {seed}");
+            }
+            assert!(net.in_flight() > 0, "traffic is still in flight");
+            let bytes = snap_bytes(&net);
+            let mut restored = Network::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+            assert_eq!(restored.active, net.active);
+            let mut twin = Rng(rng.0);
+            for _ in 0..100 {
+                random_cycle(&mut net, &mut rng, cores, bank_bytes);
+                random_cycle(&mut restored, &mut twin, cores, bank_bytes);
+                assert!(active_is_exact(&restored));
+            }
+            assert_eq!(snap_bytes(&restored), snap_bytes(&net));
+            while !net.is_quiet() {
+                net.tick();
+                for b in 0..cores {
+                    net.bank_queue(b).clear();
+                    inbox(&mut net, b);
+                }
+                assert!(active_is_exact(&net));
+            }
+            assert!(net.active.is_empty());
+        }
     }
 }

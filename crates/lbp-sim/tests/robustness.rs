@@ -206,6 +206,100 @@ fn corrupted_instruction_is_a_decode_error() {
     );
 }
 
+/// The decode error of a corrupted word names the fetched pc, the
+/// corrupted word itself and the fetching hart: the fault re-decodes
+/// the word once, and the error surfaces when a hart fetches it.
+#[test]
+fn corrupted_instruction_reports_the_corrupted_word() {
+    let src = format!("main:\n  li a0, 1\n  li a1, 2\n  add a2, a0, a1\n  {EXIT}");
+    let original = assemble(&src).unwrap().text[2];
+    for cycle in [1, 2] {
+        let fault = Fault::CorruptInstr {
+            pc: 0x8,
+            xor: 0xffff_ffff,
+            cycle,
+        };
+        let err = machine_with_faults(1, &src, &[fault])
+            .unwrap()
+            .run(10_000)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Decode {
+                pc: 0x8,
+                word: original ^ 0xffff_ffff,
+                hart: HartId::FIRST,
+            },
+            "corruption at cycle {cycle}"
+        );
+    }
+}
+
+/// A word outside the instruction set is only an error when fetched:
+/// loading an image that carries one past its exit is fine.
+#[test]
+fn undecodable_words_fail_at_fetch_not_at_load() {
+    let word = 0xffff_ffff;
+    assert!(lbp_isa::Instr::decode(word).is_err());
+    let mut image = assemble(&format!("main:\n  {EXIT}")).unwrap();
+    image.text.push(word);
+    image.lines.push(0);
+    let report = Machine::new(LbpConfig::cores(1), &image)
+        .unwrap()
+        .run(10_000)
+        .unwrap();
+    assert!(report.exited);
+
+    let mut image = assemble("main:\n  j bad\nbad:\n").unwrap();
+    image.text.push(word);
+    image.lines.push(0);
+    let err = Machine::new(LbpConfig::cores(1), &image)
+        .unwrap()
+        .run(10_000)
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::Decode {
+            pc: 0x4,
+            word,
+            hart: HartId::FIRST,
+        }
+    );
+}
+
+/// A corruption that turns a word into another valid instruction runs
+/// the new instruction from then on, also where the old one was fetched
+/// before: `addi a0, a0, 1` becomes `addi a0, a0, 3` (immediate bit 1).
+#[test]
+fn corruption_into_a_valid_instruction_executes_it() {
+    let src = format!(
+        "main:
+  li a0, 0
+  li a1, 100
+loop:
+  addi a0, a0, 1
+  addi a1, a1, -1
+  bne a1, zero, loop
+  {EXIT}"
+    );
+    let run = |cycle: u64| {
+        let fault = Fault::CorruptInstr {
+            pc: 0x8,
+            xor: 2 << 20,
+            cycle,
+        };
+        let mut m = machine_with_faults(1, &src, &[fault]).unwrap();
+        assert!(m.run(100_000).unwrap().exited);
+        m.reg(HartId::FIRST, lbp_isa::Reg::A0)
+    };
+    assert_eq!(run(1), 300, "every iteration adds 3");
+    let mid = run(500);
+    assert!(
+        mid > 100 && mid < 300 && mid % 2 == 0,
+        "iterations before the fault add 1, the rest add 3: a0 = {mid}"
+    );
+}
+
 #[test]
 fn invalid_fault_plans_are_rejected_at_build_time() {
     let src = format!("main:\n  {EXIT}");

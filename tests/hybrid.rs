@@ -297,3 +297,46 @@ fn warm_phase_faults_are_refused_with_a_clear_diagnostic() {
         "message-fault refusal must say why: {err}"
     );
 }
+
+/// Figure 21's hybrid run, pinned: tiled matmul at h = 256 on 64 cores
+/// with all-ones inputs, 90 % of the reference's retired count on the
+/// functional engine, then cycle-exact to the exit. These are the totals
+/// the `figures` benchmark checks against the Figure 21 block of
+/// `results_reference.txt` (whose pure cycle-exact run takes 1 427 796
+/// cycles); any drift is a behavioural change of either engine or of the
+/// handoff. Seconds in release, far longer in debug builds.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a 64-core cycle-exact tail; run with `cargo test --release --test hybrid`"
+)]
+fn figure21_hybrid_totals_are_pinned() {
+    const RETIRED: u64 = 82_256_064;
+    let mm = Matmul::new(256, Version::Tiled);
+    let image = mm.build();
+    let l = mm.layout();
+    let mut fast = FastEngine::new(mm.config(), &image).unwrap();
+    for i in 0..l.n {
+        for k in 0..l.m {
+            fast.poke_shared(l.x(i, k), 1).unwrap();
+        }
+    }
+    for k in 0..l.m {
+        for j in 0..l.n {
+            fast.poke_shared(l.y(k, j), 1).unwrap();
+        }
+    }
+    fast.run(FastStop::Retired(RETIRED * 9 / 10), MAX_STEPS)
+        .unwrap();
+    let mut m = fast.materialize(&image).unwrap();
+    let report = m.run(MAX_CYCLES).unwrap();
+    assert!(report.exited);
+    assert_eq!(report.stats.cycles, 1_338_171, "hybrid total cycles");
+    assert_eq!(report.stats.retired(), RETIRED, "retired instructions");
+    let z = mm.read_z(&mut m).unwrap();
+    assert_eq!(z.len(), (l.n * l.n) as usize);
+    assert!(
+        z.iter().all(|&v| v == l.m),
+        "every element of Z is the row length"
+    );
+}
