@@ -26,10 +26,10 @@ fn usage() -> ! {
          \n\
          Generates seeded PISC/Deterministic-OpenMP programs and checks each\n\
          against the oracle battery (build, verify, run, determinism,\n\
-         race-witness, snapshot round-trip, cross-process resume, ISS\n\
-         lockstep, hybrid fast-forward, executable semantics), shrinking\n\
-         and persisting any failure. Identical arguments produce\n\
-         byte-identical output.\n\
+         race-witness, snapshot round-trip, cross-process resume,\n\
+         functional-engine lockstep, hybrid fast-forward, executable\n\
+         semantics), shrinking and persisting any failure. Identical\n\
+         arguments produce byte-identical output.\n\
          \n\
          --seed N             master seed (required)\n\
          --count N            cases to run (default 20)\n\

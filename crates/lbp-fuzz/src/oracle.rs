@@ -35,10 +35,12 @@
 //!    the parent's address space may be load-bearing for a resumed run.
 //!    Falls back to an in-process restore when no worker executable is
 //!    configured (library callers, the shrinker).
-//! 8. **lockstep** — replay the commit stream against the sequential
-//!    ISS and demand architectural agreement. Parallel programs are
-//!    skipped (the sequential oracle cannot follow a fork), which the
-//!    battery reports rather than hides.
+//! 8. **lockstep** — compare every hart's commit stream, final registers
+//!    and the shared space against the functional engine
+//!    (`lbp_sim::run_lockstep`) and demand architectural agreement.
+//!    Forking programs are checked like sequential ones: the fork/join
+//!    rendezvous edges make the functional schedule a valid per-hart
+//!    reference.
 //! 9. **hybrid** — fast-forward the same image on the functional
 //!    engine to warm targets of 0, mid-run (often mid-rendezvous), and
 //!    past-end retired instructions, materialize through the snapshot
@@ -49,9 +51,9 @@
 //!     lbp-sema's executable semantics and demand the simulated binary
 //!     land on the interpreter's outcome, global word for global word.
 //!     Oracles 3–9 only ever compare the machine against itself (or the
-//!     ISS running the same binary), so a miscompilation that is
-//!     deterministic, race-free and snapshot-stable sails through all of
-//!     them — this is the only oracle holding the binary to what the
+//!     functional engine running the same binary), so a miscompilation
+//!     that is deterministic, race-free and snapshot-stable sails through
+//!     all of them — this is the only oracle holding the binary to what the
 //!     program *means*. `--sabotage codegen:<kind>` plants exactly such
 //!     bugs to prove it.
 //!
@@ -60,6 +62,7 @@
 //! panic on generated input.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use lbp_asm::Image;
 use lbp_sim::{
@@ -67,7 +70,7 @@ use lbp_sim::{
 };
 use lbp_verify::Severity;
 
-use crate::gen::{GenProgram, Kind};
+use crate::gen::GenProgram;
 
 /// Names of the oracles, in battery order (stable strings: they appear
 /// in the JSONL verdicts and corpus metadata).
@@ -146,9 +149,8 @@ pub struct PassReport {
     pub cycles: u64,
     /// Instructions retired by the reference run.
     pub retired: u64,
-    /// Commits compared in lockstep (`None` when the program forked and
-    /// the lockstep oracle was skipped).
-    pub lockstep_commits: Option<u64>,
+    /// Commits compared in lockstep, over every hart.
+    pub lockstep_commits: u64,
 }
 
 /// Runs `f` trapping panics into a classified [`Failure`].
@@ -320,22 +322,17 @@ pub fn check_with(program: &GenProgram, opts: &CheckOpts) -> Result<PassReport, 
         resume_in_fresh_process(program, &image, cut, final_hash, report.stats.cycles, opts)?;
     }
 
-    // Oracle 8: differential lockstep against the ISS.
-    let lockstep_commits = match program.kind {
-        // Fork trees always fork; skip the doomed attempt.
-        Kind::Fork => None,
-        _ => guarded("lockstep", || {
-            match run_lockstep(cfg_for(program), &image, program.max_cycles) {
-                Ok(r) => Ok(Some(r.commits)),
-                Err(LockstepError::Parallel { .. }) => Ok(None),
-                Err(LockstepError::Diverged(d)) => {
-                    Err(Failure::new("lockstep", "divergence", d.to_string()))
-                }
-                Err(LockstepError::Machine(f)) => Err(Failure::from_sim("lockstep", &f)),
-                Err(e) => Err(Failure::new("lockstep", "oracle", e.to_string())),
+    // Oracle 8: differential lockstep against the functional engine.
+    let lockstep_commits = guarded("lockstep", || {
+        match run_lockstep(cfg_for(program), &image, program.max_cycles) {
+            Ok(r) => Ok(r.commits),
+            Err(LockstepError::Diverged(d)) => {
+                Err(Failure::new("lockstep", "divergence", d.to_string()))
             }
-        })?,
-    };
+            Err(LockstepError::Machine(f)) => Err(Failure::from_sim("lockstep", &f)),
+            Err(LockstepError::Setup(e)) => Err(Failure::new("lockstep", e.class(), e.to_string())),
+        }
+    })?;
 
     // Oracle 9: hybrid fast-forward handoff. The functional engine
     // runs the same image to several warm targets, materializes
@@ -507,9 +504,13 @@ fn resume_in_fresh_process(
 
         let (hash, cycles) = match &opts.resume_exec {
             Some(exe) => {
+                // Unique per call: two checks of the same program in one
+                // process must not share (and delete) each other's file.
+                static SNAPS: AtomicU64 = AtomicU64::new(0);
                 let snap = std::env::temp_dir().join(format!(
-                    "lbp-fuzz-resume-{}-{:016x}.lbpsnap",
+                    "lbp-fuzz-resume-{}-{}-{:016x}.lbpsnap",
                     std::process::id(),
+                    SNAPS.fetch_add(1, Ordering::Relaxed),
                     lbp_snap::content_hash(&state)
                 ));
                 lbp_snap::save(&state, &snap).map_err(|e| {
@@ -588,7 +589,7 @@ fn resume_in_fresh_process(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{generate, GenConfig};
+    use crate::gen::{generate, GenConfig, Kind};
     use lbp_testutil::Rng;
 
     #[test]
@@ -607,8 +608,8 @@ mod tests {
         assert!(report.cycles > 0);
         assert!(report.retired > 0);
         assert!(
-            report.lockstep_commits.is_some(),
-            "a seq program is lockstep-checkable"
+            report.lockstep_commits > 0,
+            "a seq program is lockstep-checked"
         );
     }
 

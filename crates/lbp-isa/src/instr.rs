@@ -47,6 +47,7 @@ impl BranchKind {
     }
 
     /// Evaluates the branch condition on two register values.
+    #[inline]
     pub fn taken(self, a: u32, b: u32) -> bool {
         match self {
             BranchKind::Eq => a == b,
@@ -96,11 +97,46 @@ impl LoadKind {
     }
 
     /// Access size in bytes.
+    #[inline]
     pub fn size(self) -> u32 {
         match self {
             LoadKind::B | LoadKind::Bu => 1,
             LoadKind::H | LoadKind::Hu => 2,
             LoadKind::W => 4,
+        }
+    }
+
+    /// Whether the loaded value is sign-extended (`lb`, `lh`).
+    #[inline]
+    pub fn is_signed(self) -> bool {
+        matches!(self, LoadKind::B | LoadKind::H)
+    }
+
+    /// The load that reads `size` bytes, sign-extending when `signed`
+    /// (the pair a memory request carries); `None` for any other size.
+    #[inline]
+    pub fn of_access(size: u8, signed: bool) -> Option<LoadKind> {
+        match (size, signed) {
+            (1, true) => Some(LoadKind::B),
+            (2, true) => Some(LoadKind::H),
+            (1, false) => Some(LoadKind::Bu),
+            (2, false) => Some(LoadKind::Hu),
+            (4, _) => Some(LoadKind::W),
+            _ => None,
+        }
+    }
+
+    /// Widens the raw little-endian value of a [`LoadKind::size`]-byte
+    /// read to the register value: sign-extended for `lb`/`lh`,
+    /// zero-extended otherwise.
+    #[inline]
+    pub fn extend(self, raw: u32) -> u32 {
+        match self {
+            LoadKind::B => raw as u8 as i8 as i32 as u32,
+            LoadKind::H => raw as u16 as i16 as i32 as u32,
+            LoadKind::Bu => raw as u8 as u32,
+            LoadKind::Hu => raw as u16 as u32,
+            LoadKind::W => raw,
         }
     }
 }
@@ -130,6 +166,7 @@ impl StoreKind {
     }
 
     /// Access size in bytes.
+    #[inline]
     pub fn size(self) -> u32 {
         match self {
             StoreKind::B => 1,
@@ -198,6 +235,7 @@ impl OpImmKind {
     }
 
     /// Evaluates the operation on a register value and an immediate.
+    #[inline]
     pub fn eval(self, a: u32, imm: i32) -> u32 {
         let b = imm as u32;
         match self {
@@ -321,6 +359,7 @@ impl OpKind {
 
     /// Evaluates the operation on two register values, with the RISC-V
     /// division-by-zero and overflow semantics.
+    #[inline]
     pub fn eval(self, a: u32, b: u32) -> u32 {
         match self {
             OpKind::Add => a.wrapping_add(b),

@@ -447,11 +447,7 @@ impl MemSys {
         for (i, b) in bytes.iter().enumerate() {
             raw |= (*b as u32) << (8 * i);
         }
-        Ok(match (size, signed) {
-            (1, true) => (raw as u8 as i8) as i32 as u32,
-            (2, true) => (raw as u16 as i16) as i32 as u32,
-            _ => raw,
-        })
+        Ok(lbp_isa::LoadKind::of_access(size, signed).map_or(raw, |kind| kind.extend(raw)))
     }
 
     /// Writes the low `size` bytes of `value` at `addr`.

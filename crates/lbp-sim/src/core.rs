@@ -516,13 +516,7 @@ impl Core {
                 if let Some(r) = env.race.as_deref_mut() {
                     r.read(id, e.pc, addr, kind.size() as u8);
                 }
-                self.send_read(
-                    id,
-                    addr,
-                    kind.size() as u8,
-                    matches!(kind, lbp_isa::LoadKind::B | lbp_isa::LoadKind::H),
-                    env,
-                )?;
+                self.send_read(id, addr, kind.size() as u8, kind.is_signed(), env)?;
                 self.harts[hart_idx].in_flight_mem += 1;
                 RbWait::Mem
             }

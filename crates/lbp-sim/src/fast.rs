@@ -14,13 +14,21 @@
 //! the same architectural state at every rendezvous point that the
 //! cycle-exact engine reaches.
 //!
-//! The engine exists for hybrid fast-forward simulation: `lbp-run --warm N`
-//! executes the warm-up region here at tens of Minstr/s, then
-//! [`FastEngine::materialize`] builds a cycle-exact
+//! The engine has two jobs. In hybrid fast-forward simulation,
+//! `lbp-run --warm N` executes the warm-up region here at tens of
+//! Minstr/s, then [`FastEngine::materialize`] builds a cycle-exact
 //! [`Machine`](crate::machine::Machine) from the
 //! architectural state (all pipelines drained, no message in flight) and
-//! the measured window runs at full fidelity. See `DESIGN.md` for the
+//! the measured window runs at full fidelity. In lockstep checking
+//! ([`run_lockstep`](crate::run_lockstep)), its per-hart commit log is the
+//! functional reference the cycle-exact machine is compared against, for
+//! single-hart and forking programs alike. See `DESIGN.md` for the
 //! functional-mode semantics contract and its precision boundaries.
+//!
+//! The RV32IM semantics (branch conditions, load widths and extension,
+//! ALU results including the division edge cases) are not written out
+//! here: each flat [`UKind`] arm calls the `lbp-isa` evaluator with a
+//! constant kind, the same code the cycle-exact pipeline executes.
 //!
 //! What is deliberately **not** modeled: cycles, stalls, bank conflicts,
 //! link hops and contention (all zero in the produced statistics), fault
@@ -32,7 +40,10 @@ use std::collections::VecDeque;
 
 use lbp_asm::Image;
 use lbp_isa::dispatch::{predecode, UKind, UOp};
-use lbp_isa::{HartId, IdentityWord, Region, HARTS_PER_CORE, INSTR_BYTES, LOCAL_BASE, SHARED_BASE};
+use lbp_isa::{
+    BranchKind, HartId, IdentityWord, LoadKind, OpImmKind, OpKind, Region, StoreKind,
+    HARTS_PER_CORE, INSTR_BYTES, LOCAL_BASE, SHARED_BASE,
+};
 
 use crate::bank::MemFault;
 use crate::config::{LbpConfig, CV_FRAME_BYTES};
@@ -164,8 +175,8 @@ pub struct FastEngine {
     /// The scheduler's runnable-set cache is stale (a hart changed state,
     /// blocked, or was started/joined/freed since the last rebuild).
     sched_dirty: bool,
-    /// Per-hart committed-pc streams, recorded when enabled (hybrid
-    /// divergence bisection).
+    /// Per-hart committed-pc streams, recorded when enabled (the lockstep
+    /// reference).
     commit_log: Option<Vec<Vec<u32>>>,
 }
 
@@ -231,9 +242,9 @@ impl FastEngine {
         })
     }
 
-    /// Turns on per-hart committed-pc recording (the functional side of
-    /// hybrid divergence bisection). Costs one `Vec` push per retired
-    /// instruction; leave off for plain fast-forwarding.
+    /// Turns on per-hart committed-pc recording (the reference side of
+    /// lockstep checking). Costs one `Vec` push per retired instruction;
+    /// leave off for plain fast-forwarding.
     pub fn enable_commit_log(&mut self) {
         if self.commit_log.is_none() {
             self.commit_log = Some(vec![Vec::new(); self.harts.len()]);
@@ -248,7 +259,7 @@ impl FastEngine {
 
     /// XORs the code word at `pc` with `xor` and re-predecodes it —
     /// deliberate sabotage of the *functional copy only*, used to prove
-    /// that hybrid divergence bisection localizes a functional bug to the
+    /// that the lockstep comparator localizes a functional bug to the
     /// exact instruction.
     pub fn sabotage_code(&mut self, pc: u32, xor: u32) {
         let idx = (pc / INSTR_BYTES) as usize;
@@ -266,6 +277,13 @@ impl FastEngine {
     /// Whether the run is parked at the exit `p_ret`.
     pub fn at_exit(&self) -> bool {
         self.at_exit
+    }
+
+    /// The hart parked at the exit `p_ret` and that instruction's pc
+    /// (`None` unless [`FastEngine::at_exit`]).
+    pub(crate) fn exit_point(&self) -> Option<(HartId, u32)> {
+        let hi = self.harts.iter().position(|h| h.wait == FWait::AtExit)?;
+        Some((self.id(hi), self.harts[hi].pc))
     }
 
     /// Per-hart retired-instruction counts.
@@ -345,6 +363,12 @@ impl FastEngine {
         if rd != 0 {
             self.harts[hi].regs[rd as usize] = value;
         }
+    }
+
+    /// Writes an RV32M result, counting the operation.
+    fn set_muldiv(&mut self, hi: usize, rd: u8, value: u32) {
+        self.muldiv_ops += 1;
+        self.set(hi, rd, value);
     }
 
     fn retire(&mut self, hi: usize, pc: u32) {
@@ -499,11 +523,12 @@ impl FastEngine {
         ))
     }
 
-    /// Loads `size` bytes for `hi`, counting the access like the
+    /// Performs load `kind` into `hi`'s `rd`, counting the access like the
     /// cycle-exact router would (local vs remote).
-    fn mem_load(&mut self, hi: usize, addr: u32, size: u8, signed: bool) -> Result<u32, SimError> {
+    fn load(&mut self, hi: usize, rd: u8, addr: u32, kind: LoadKind) -> Result<(), SimError> {
         let hart = self.id(hi);
         let core = hi / HARTS_PER_CORE;
+        let size = kind.size() as u8;
         if !addr.is_multiple_of(size as u32) {
             return Err(SimError::Mem(MemFault::Unaligned { addr, size, hart }));
         }
@@ -546,17 +571,21 @@ impl FastEngine {
         for (i, b) in bytes.iter().enumerate() {
             raw |= (*b as u32) << (8 * i);
         }
-        Ok(match (size, signed) {
-            (1, true) => raw as u8 as i8 as i32 as u32,
-            (2, true) => raw as u16 as i16 as i32 as u32,
-            _ => raw,
-        })
+        self.set(hi, rd, kind.extend(raw));
+        Ok(())
     }
 
-    /// Stores the low `size` bytes of `value`, counting the access.
-    fn mem_store(&mut self, hi: usize, addr: u32, value: u32, size: u8) -> Result<(), SimError> {
+    /// Performs store `kind` of `value`, counting the access.
+    fn mem_store(
+        &mut self,
+        hi: usize,
+        addr: u32,
+        value: u32,
+        kind: StoreKind,
+    ) -> Result<(), SimError> {
         let hart = self.id(hi);
         let core = hi / HARTS_PER_CORE;
+        let size = kind.size() as u8;
         if !addr.is_multiple_of(size as u32) {
             return Err(SimError::Mem(MemFault::Unaligned { addr, size, hart }));
         }
@@ -641,135 +670,61 @@ impl FastEngine {
         let b = self.get(hi, u.rs2);
         let imm = u.imm;
         let mut next = pc.wrapping_add(4);
+        let branch_to = pc.wrapping_add(imm as u32);
+        let addr = a.wrapping_add(imm as u32);
         match u.kind {
             UKind::Lui => self.set(hi, u.rd, imm as u32),
-            UKind::Auipc => self.set(hi, u.rd, pc.wrapping_add(imm as u32)),
+            UKind::Auipc => self.set(hi, u.rd, branch_to),
             UKind::Jal => {
-                self.set(hi, u.rd, pc.wrapping_add(4));
-                next = pc.wrapping_add(imm as u32);
+                self.set(hi, u.rd, next);
+                next = branch_to;
             }
             UKind::Jalr => {
-                next = a.wrapping_add(imm as u32) & !1;
-                self.set(hi, u.rd, pc.wrapping_add(4));
+                self.set(hi, u.rd, next);
+                next = addr & !1;
             }
-            UKind::Beq => {
-                if a == b {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Bne => {
-                if a != b {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Blt => {
-                if (a as i32) < (b as i32) {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Bge => {
-                if (a as i32) >= (b as i32) {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Bltu => {
-                if a < b {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Bgeu => {
-                if a >= b {
-                    next = pc.wrapping_add(imm as u32);
-                }
-            }
-            UKind::Lb | UKind::Lh | UKind::Lw | UKind::Lbu | UKind::Lhu => {
-                let (size, signed) = match u.kind {
-                    UKind::Lb => (1, true),
-                    UKind::Lh => (2, true),
-                    UKind::Lw => (4, false),
-                    UKind::Lbu => (1, false),
-                    _ => (2, false),
-                };
-                let v = self.mem_load(hi, a.wrapping_add(imm as u32), size, signed)?;
-                self.set(hi, u.rd, v);
-            }
-            UKind::Sb | UKind::Sh | UKind::Sw => {
-                let size = match u.kind {
-                    UKind::Sb => 1,
-                    UKind::Sh => 2,
-                    _ => 4,
-                };
-                self.mem_store(hi, a.wrapping_add(imm as u32), b, size)?;
-            }
-            UKind::Addi => self.set(hi, u.rd, a.wrapping_add(imm as u32)),
-            UKind::Slti => self.set(hi, u.rd, ((a as i32) < imm) as u32),
-            UKind::Sltiu => self.set(hi, u.rd, (a < imm as u32) as u32),
-            UKind::Xori => self.set(hi, u.rd, a ^ imm as u32),
-            UKind::Ori => self.set(hi, u.rd, a | imm as u32),
-            UKind::Andi => self.set(hi, u.rd, a & imm as u32),
-            UKind::Slli => self.set(hi, u.rd, a.wrapping_shl(imm as u32 & 31)),
-            UKind::Srli => self.set(hi, u.rd, a.wrapping_shr(imm as u32 & 31)),
-            UKind::Srai => self.set(hi, u.rd, ((a as i32).wrapping_shr(imm as u32 & 31)) as u32),
-            UKind::Add => self.set(hi, u.rd, a.wrapping_add(b)),
-            UKind::Sub => self.set(hi, u.rd, a.wrapping_sub(b)),
-            UKind::Sll => self.set(hi, u.rd, a.wrapping_shl(b & 31)),
-            UKind::Slt => self.set(hi, u.rd, ((a as i32) < (b as i32)) as u32),
-            UKind::Sltu => self.set(hi, u.rd, (a < b) as u32),
-            UKind::Xor => self.set(hi, u.rd, a ^ b),
-            UKind::Srl => self.set(hi, u.rd, a.wrapping_shr(b & 31)),
-            UKind::Sra => self.set(hi, u.rd, ((a as i32).wrapping_shr(b & 31)) as u32),
-            UKind::Or => self.set(hi, u.rd, a | b),
-            UKind::And => self.set(hi, u.rd, a & b),
-            UKind::Mul => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, a.wrapping_mul(b));
-            }
-            UKind::Mulh => {
-                self.muldiv_ops += 1;
-                self.set(
-                    hi,
-                    u.rd,
-                    ((((a as i32) as i64) * ((b as i32) as i64)) >> 32) as u32,
-                );
-            }
-            UKind::Mulhsu => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, ((((a as i32) as i64) * (b as i64)) >> 32) as u32);
-            }
-            UKind::Mulhu => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, (((a as u64) * (b as u64)) >> 32) as u32);
-            }
-            UKind::Div => {
-                self.muldiv_ops += 1;
-                let v = if b == 0 {
-                    u32::MAX
-                } else if a == 0x8000_0000 && b == u32::MAX {
-                    a
-                } else {
-                    ((a as i32).wrapping_div(b as i32)) as u32
-                };
-                self.set(hi, u.rd, v);
-            }
-            UKind::Divu => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, a.checked_div(b).unwrap_or(u32::MAX));
-            }
-            UKind::Rem => {
-                self.muldiv_ops += 1;
-                let v = if b == 0 {
-                    a
-                } else if a == 0x8000_0000 && b == u32::MAX {
-                    0
-                } else {
-                    ((a as i32).wrapping_rem(b as i32)) as u32
-                };
-                self.set(hi, u.rd, v);
-            }
-            UKind::Remu => {
-                self.muldiv_ops += 1;
-                self.set(hi, u.rd, if b == 0 { a } else { a % b });
-            }
+            UKind::Beq if BranchKind::Eq.taken(a, b) => next = branch_to,
+            UKind::Bne if BranchKind::Ne.taken(a, b) => next = branch_to,
+            UKind::Blt if BranchKind::Lt.taken(a, b) => next = branch_to,
+            UKind::Bge if BranchKind::Ge.taken(a, b) => next = branch_to,
+            UKind::Bltu if BranchKind::Ltu.taken(a, b) => next = branch_to,
+            UKind::Bgeu if BranchKind::Geu.taken(a, b) => next = branch_to,
+            UKind::Beq | UKind::Bne | UKind::Blt | UKind::Bge | UKind::Bltu | UKind::Bgeu => {}
+            UKind::Lb => self.load(hi, u.rd, addr, LoadKind::B)?,
+            UKind::Lh => self.load(hi, u.rd, addr, LoadKind::H)?,
+            UKind::Lw => self.load(hi, u.rd, addr, LoadKind::W)?,
+            UKind::Lbu => self.load(hi, u.rd, addr, LoadKind::Bu)?,
+            UKind::Lhu => self.load(hi, u.rd, addr, LoadKind::Hu)?,
+            UKind::Sb => self.mem_store(hi, addr, b, StoreKind::B)?,
+            UKind::Sh => self.mem_store(hi, addr, b, StoreKind::H)?,
+            UKind::Sw => self.mem_store(hi, addr, b, StoreKind::W)?,
+            UKind::Addi => self.set(hi, u.rd, OpImmKind::Add.eval(a, imm)),
+            UKind::Slti => self.set(hi, u.rd, OpImmKind::Slt.eval(a, imm)),
+            UKind::Sltiu => self.set(hi, u.rd, OpImmKind::Sltu.eval(a, imm)),
+            UKind::Xori => self.set(hi, u.rd, OpImmKind::Xor.eval(a, imm)),
+            UKind::Ori => self.set(hi, u.rd, OpImmKind::Or.eval(a, imm)),
+            UKind::Andi => self.set(hi, u.rd, OpImmKind::And.eval(a, imm)),
+            UKind::Slli => self.set(hi, u.rd, OpImmKind::Sll.eval(a, imm)),
+            UKind::Srli => self.set(hi, u.rd, OpImmKind::Srl.eval(a, imm)),
+            UKind::Srai => self.set(hi, u.rd, OpImmKind::Sra.eval(a, imm)),
+            UKind::Add => self.set(hi, u.rd, OpKind::Add.eval(a, b)),
+            UKind::Sub => self.set(hi, u.rd, OpKind::Sub.eval(a, b)),
+            UKind::Sll => self.set(hi, u.rd, OpKind::Sll.eval(a, b)),
+            UKind::Slt => self.set(hi, u.rd, OpKind::Slt.eval(a, b)),
+            UKind::Sltu => self.set(hi, u.rd, OpKind::Sltu.eval(a, b)),
+            UKind::Xor => self.set(hi, u.rd, OpKind::Xor.eval(a, b)),
+            UKind::Srl => self.set(hi, u.rd, OpKind::Srl.eval(a, b)),
+            UKind::Sra => self.set(hi, u.rd, OpKind::Sra.eval(a, b)),
+            UKind::Or => self.set(hi, u.rd, OpKind::Or.eval(a, b)),
+            UKind::And => self.set(hi, u.rd, OpKind::And.eval(a, b)),
+            UKind::Mul => self.set_muldiv(hi, u.rd, OpKind::Mul.eval(a, b)),
+            UKind::Mulh => self.set_muldiv(hi, u.rd, OpKind::Mulh.eval(a, b)),
+            UKind::Mulhsu => self.set_muldiv(hi, u.rd, OpKind::Mulhsu.eval(a, b)),
+            UKind::Mulhu => self.set_muldiv(hi, u.rd, OpKind::Mulhu.eval(a, b)),
+            UKind::Div => self.set_muldiv(hi, u.rd, OpKind::Div.eval(a, b)),
+            UKind::Divu => self.set_muldiv(hi, u.rd, OpKind::Divu.eval(a, b)),
+            UKind::Rem => self.set_muldiv(hi, u.rd, OpKind::Rem.eval(a, b)),
+            UKind::Remu => self.set_muldiv(hi, u.rd, OpKind::Remu.eval(a, b)),
             UKind::PSyncm => {} // functional memory is always drained
             UKind::PSet => self.set(hi, u.rd, IdentityWord::from_bits(a).set(id).bits()),
             UKind::PMerge => self.set(
@@ -781,14 +736,13 @@ impl FastEngine {
             ),
             UKind::PLwcv => {
                 let addr = cv_base(&self.cfg, id).wrapping_add(imm as u32);
-                let v = self.mem_load(hi, addr, 4, false)?;
-                self.set(hi, u.rd, v);
+                self.load(hi, u.rd, addr, LoadKind::W)?;
             }
             UKind::PSwcv => {
                 let target = HartId::new(a & 0xffff);
                 if target.core() as usize == core {
                     let addr = cv_base(&self.cfg, target).wrapping_add(imm as u32);
-                    self.mem_store(hi, addr, b, 4)?;
+                    self.mem_store(hi, addr, b, StoreKind::W)?;
                 } else if target.core() as usize == core + 1
                     && (target.core() as usize) < self.cfg.cores
                 {
@@ -874,7 +828,7 @@ impl FastEngine {
                 self.deliver_start(target, pc.wrapping_add(4))?;
                 self.harts[hi].team_succ = Some(target);
                 self.set(hi, u.rd, 0);
-                next = pc.wrapping_add(imm as u32);
+                next = branch_to;
             }
             UKind::PCall => {
                 let target = IdentityWord::from_bits(a).allocated_hart();

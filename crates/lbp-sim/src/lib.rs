@@ -75,7 +75,6 @@ pub mod fast;
 mod fault;
 mod hart;
 mod io;
-pub mod iss;
 pub mod json;
 mod lockstep;
 mod machine;
@@ -95,7 +94,7 @@ pub use fast::{FastEngine, FastStop, FastSummary};
 pub use fault::{Fault, FaultPlan};
 pub use io::{InputDevice, IoBus, OutputDevice, DEVICE_STRIDE};
 pub use json::{Json, JsonError};
-pub use lockstep::{run_lockstep, Divergence, LockstepError, LockstepReport};
+pub use lockstep::{lockstep_divergence, run_lockstep, Divergence, LockstepError, LockstepReport};
 pub use machine::{Machine, RunPause, RunReport};
 pub use prof::{PcCounters, ProfData, ProfEvent, ProfEventKind, ProfInterval};
 pub use race::{RaceData, RaceKind, RaceWitness};

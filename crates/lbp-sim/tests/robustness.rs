@@ -489,6 +489,7 @@ fn late_register_flip_surfaces_as_divergence() {
     );
     let err = run_lockstep(cfg, &image, 100_000).unwrap_err();
     let LockstepError::Diverged(Divergence::Register {
+        hart,
         reg,
         machine,
         oracle,
@@ -496,6 +497,7 @@ fn late_register_flip_surfaces_as_divergence() {
     else {
         panic!("expected a register divergence, got {err}");
     };
+    assert_eq!(hart, HartId::FIRST);
     assert_eq!(reg, lbp_isa::Reg::A2);
     assert_eq!(oracle, 42);
     assert_eq!(machine, 42 ^ (1 << 4));
@@ -531,6 +533,7 @@ cell: .word 0"
     );
     let err = run_lockstep(cfg, &image, 100_000).unwrap_err();
     let LockstepError::Diverged(Divergence::Memory {
+        hart,
         addr,
         machine,
         oracle,
@@ -538,17 +541,90 @@ cell: .word 0"
     else {
         panic!("expected a memory divergence, got {err}");
     };
+    assert_eq!(hart, HartId::FIRST);
     assert_eq!(addr, lbp_isa::SHARED_BASE);
     assert_eq!(oracle, 77);
     assert_eq!(machine, 77 ^ 1);
 }
 
 #[test]
-fn parallel_programs_are_rejected_by_lockstep() {
+fn parallel_programs_pass_lockstep() {
     let image = assemble(FORK_NEXT_CORE).unwrap();
-    let err = run_lockstep(LbpConfig::cores(2), &image, 100_000).unwrap_err();
+    let ls = run_lockstep(LbpConfig::cores(2), &image, 100_000).expect("lockstep passes");
+    assert!(ls.report.exited);
+    // Both harts' commits are compared: the boot hart on core 0 and the
+    // forked member on core 1.
+    assert_eq!(ls.commits, ls.report.stats.retired());
+    assert!(ls.report.stats.retired_by_core(0) > 0);
+    assert!(ls.report.stats.retired_by_core(1) > 0);
+}
+
+#[test]
+fn fault_on_a_forked_hart_names_that_hart() {
+    // A one-core Fig. 8 team: hart 0 forks hart 1, the two join back, and
+    // hart 0 spins before the exit while hart 1 sits freed.
+    let image = assemble(
+        "main:
+    li    t0, -1
+    addi  sp, sp, -8
+    sw    ra, 0(sp)
+    sw    t0, 4(sp)
+    p_set t0
+    la    ra, rp
+    p_fc   t6
+    p_swcv ra, t6, 0
+    p_swcv t0, t6, 4
+    p_merge t0, t0, t6
+    p_syncm
+    la    a0, member
+    p_jalr ra, t0, a0
+    p_lwcv ra, 0
+    p_lwcv t0, 4
+    p_set t0
+    la    a0, member
+    jalr  a0
+    lw    ra, 0(sp)
+    lw    t0, 4(sp)
+    addi  sp, sp, 8
+    p_ret
+rp:
+    lw    ra, 0(sp)
+    lw    t0, 4(sp)
+    addi  sp, sp, 8
+    li    a2, 200
+spin:
+    addi  a2, a2, -1
+    bnez  a2, spin
+    p_ret
+member:
+    p_ret",
+    )
+    .unwrap();
+    let clean = run_lockstep(LbpConfig::cores(1), &image, 100_000).expect("lockstep passes");
+    assert!(clean.report.stats.retired_per_hart[1] > 0, "hart 1 ran");
+    // Flip a register of the freed hart 1 while hart 0 still spins.
+    let flip = Fault::FlipReg {
+        hart: HartId::new(1),
+        reg: lbp_isa::Reg::A3,
+        bit: 2,
+        cycle: clean.report.stats.cycles - 20,
+    };
+    let cfg = LbpConfig::cores(1).with_faults([flip].into_iter().collect::<FaultPlan>());
+    let err = run_lockstep(cfg, &image, 100_000).unwrap_err();
+    let LockstepError::Diverged(d) = err else {
+        panic!("expected a divergence, got {err}");
+    };
+    assert_eq!(d.hart(), HartId::new(1), "{d}");
     assert!(
-        matches!(err, LockstepError::Parallel { .. }),
-        "expected Parallel, got {err}"
+        matches!(
+            d,
+            Divergence::Register {
+                reg: lbp_isa::Reg::A3,
+                machine: 4,
+                oracle: 0,
+                ..
+            }
+        ),
+        "{d}"
     );
 }

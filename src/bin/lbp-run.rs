@@ -23,8 +23,8 @@
 //!   `corrupt-instr:PC:XOR:CYCLE`, `drop-msg:NTH`, `delay-msg:NTH:CYCLES`);
 //! - `--dump-on-error FILE` writes an `lbp-dump-v1` crash dump when the
 //!   run fails;
-//! - `--lockstep` checks the run instruction-by-instruction against the
-//!   sequential ISS oracle (single-hart programs only);
+//! - `--lockstep` checks every hart's commit stream and the final state
+//!   against the functional engine (any number of harts);
 //! - `--verify` statically checks the program instead of running it:
 //!   `.c` inputs go through the source-level determinism lint and the
 //!   binary fork-protocol verifier, `.s` inputs through the binary
@@ -116,7 +116,7 @@ fn usage() -> ! {
                               corrupt-instr:PC:XOR:CYCLE   drop-msg:NTH\n\
                               delay-msg:NTH:CYCLES\n\
            --dump-on-error F  write an lbp-dump-v1 crash dump to F if the run fails\n\
-           --lockstep         check against the sequential ISS oracle (1 hart)\n\
+           --lockstep         check every hart against the functional engine\n\
            --verify           statically verify the program instead of running it\n\
            --diag-json FILE   with --verify, write the lbp-diag-v1 report ('-' = stdout)\n\
            --race-witness     collect per-epoch shared-write footprints during the\n\
@@ -144,7 +144,7 @@ fn usage() -> ! {
                               refuses mixed container versions or engines\n\
            --hybrid-bisect    run the functional and cycle-exact engines side by\n\
                               side and localize their first divergence to the\n\
-                              exact instruction (commit-stream comparison)\n\
+                              exact instruction (the --lockstep comparator)\n\
            --sabotage PC:XOR  with --hybrid-bisect: XOR a code word in the\n\
                               functional copy only (repeatable; seeded-divergence\n\
                               validation of the localizer)\n\
@@ -414,8 +414,8 @@ fn write_dump(path: &str, dump: &MachineDump) {
     }
 }
 
-/// `--lockstep`: run the machine and verify it commit-by-commit against
-/// the sequential ISS oracle.
+/// `--lockstep`: run the machine and verify every hart commit-by-commit
+/// against the functional reference.
 fn run_lockstep_mode(cfg: LbpConfig, image: &lbp::asm::Image, opts: &Options) -> ExitCode {
     match lbp::sim::run_lockstep(cfg, image, opts.max_cycles) {
         Ok(ls) => {
@@ -436,12 +436,7 @@ fn run_lockstep_mode(cfg: LbpConfig, image: &lbp::asm::Image, opts: &Options) ->
             }
             ExitCode::from(sim_exit_code(&fail.error))
         }
-        Err(e @ LockstepError::Parallel { .. }) => {
-            eprintln!("lbp-run: {e}");
-            ExitCode::from(2)
-        }
-        Err(e) => {
-            // An oracle fault or an architectural divergence.
+        Err(e @ LockstepError::Diverged(_)) => {
             eprintln!("lbp-run: {e}");
             ExitCode::from(9)
         }
@@ -737,10 +732,12 @@ fn warm_forward(
 }
 
 /// `--hybrid-bisect`: run the functional and cycle-exact engines side by
-/// side and localize their first commit-stream divergence.
+/// side and localize their first divergence (the `--lockstep` comparator,
+/// with `--sabotage` applied to the functional copy and run failures
+/// tolerated).
 fn run_hybrid_bisect(opts: &Options, image: &lbp::asm::Image) -> ExitCode {
     let cfg = LbpConfig::cores(opts.cores);
-    match lbp::snap::hybrid_divergence(cfg, image, opts.max_cycles, &opts.sabotage) {
+    match lbp::sim::lockstep_divergence(cfg, image, opts.max_cycles, &opts.sabotage) {
         Ok(Some(d)) => {
             println!("{d}");
             ExitCode::SUCCESS
@@ -748,7 +745,7 @@ fn run_hybrid_bisect(opts: &Options, image: &lbp::asm::Image) -> ExitCode {
         Ok(None) => {
             println!(
                 "no divergence: the functional and cycle-exact engines retire identical \
-                 per-hart instruction streams"
+                 per-hart instruction streams and reach the same final state"
             );
             ExitCode::SUCCESS
         }

@@ -130,6 +130,20 @@ fn exit_9_lockstep_divergence() {
 }
 
 #[test]
+fn exit_0_lockstep_on_a_parallel_program() {
+    // The functional reference follows forks: a two-core team checks
+    // clean, hart by hart.
+    assert_eq!(
+        code(
+            lbp_run()
+                .arg(example("fork2.s"))
+                .args(["--cores", "2", "--lockstep"])
+        ),
+        0
+    );
+}
+
+#[test]
 fn exit_10_verification_rejection() {
     assert_eq!(code(lbp_run().arg(example("hung.s")).arg("--verify")), 10);
 }
